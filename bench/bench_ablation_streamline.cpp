@@ -6,8 +6,10 @@
 // entropy-based preloading of the vortex core.
 
 #include <iostream>
+#include <limits>
 
 #include "common.hpp"
+#include "core/algorithm1.hpp"
 #include "core/importance.hpp"
 #include "core/streamline.hpp"
 #include "volume/generators.hpp"
@@ -44,11 +46,6 @@ int main(int argc, char** argv) {
   spec.step = 0.02;
   spec.max_steps = 800;
 
-  u64 dataset_bytes = 0;
-  for (BlockId id = 0; id < grid.block_count(); ++id) {
-    dataset_bytes += grid.block_bytes(id);
-  }
-
   TablePrinter table({"policy", "preload", "miss_rate", "io(s)", "accesses",
                       "unique_blocks"});
   CsvWriter csv(env.csv_path(), {"policy", "preload", "miss_rate", "io_s",
@@ -59,17 +56,14 @@ int main(int argc, char** argv) {
                           PolicyKind::kTwoQ}) {
     for (bool preload : {false, true}) {
       MemoryHierarchy hierarchy = MemoryHierarchy::paper_testbed(
-          dataset_bytes, 0.5, kind,
+          grid.total_bytes(), 0.5, kind,
           [&grid](BlockId id) { return grid.block_bytes(id); });
       if (preload) {
-        // Stage the high-importance (vortex-core) blocks ahead of tracing.
-        u64 budget = hierarchy.cache(0).capacity_bytes();
-        for (BlockId id : importance.ranked()) {
-          u64 bytes = grid.block_bytes(id);
-          if (bytes > budget) break;
-          hierarchy.preload(id);
-          budget -= bytes;
-        }
+        // Stage the high-importance (vortex-core) blocks ahead of tracing,
+        // with no entropy threshold.
+        MemoryPort port(hierarchy, 0);
+        preload_important(port, grid, importance, importance.ranked(),
+                          std::numeric_limits<double>::lowest());
       }
       StreamlineWorkloadResult r =
           run_streamline_workload(grid, hierarchy, seeds, velocity, spec);

@@ -106,12 +106,8 @@ int main(int argc, char** argv) {
   cfg.render_model = spec.render_model;
   cfg.lookup_cost = spec.lookup_cost;
   cfg.leader_pace_seconds = pace_ms * 1e-3;
-  BlockService svc(
-      *grid,
-      MemoryHierarchy::paper_testbed(
-          bench.dataset_bytes(), spec.cache_ratio, PolicyKind::kLru,
-          [grid](BlockId id) { return grid->block_bytes(id); }),
-      cfg, &bench.table(), &bench.importance());
+  BlockService svc(*grid, bench.make_hierarchy(PolicyKind::kLru), cfg,
+                   &bench.table(), &bench.importance());
 
   NetServerConfig net_cfg;
   net_cfg.workers = 4;

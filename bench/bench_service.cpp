@@ -147,11 +147,8 @@ int main(int argc, char** argv) {
   StepTimeline shared_timeline;
   MetricsSnapshot shared_snapshot;
   {
-    BlockService svc(*grid,
-                     MemoryHierarchy::paper_testbed(bench.dataset_bytes(),
-                                                    spec.cache_ratio,
-                                                    PolicyKind::kLru, size_fn),
-                     cfg, &bench.table(), &bench.importance());
+    BlockService svc(*grid, bench.make_hierarchy(PolicyKind::kLru), cfg,
+                     &bench.table(), &bench.importance());
     std::vector<std::vector<double>> lat(sessions);
     shared.sessions.resize(sessions);
     const double t0 = now_ms();

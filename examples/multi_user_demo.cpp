@@ -52,12 +52,8 @@ int main(int argc, char** argv) {
   svc_cfg.aggregate_prefetch_budget_bytes =
       static_cast<u64>(cfg.get_int("budget_kb", 64)) * 1024;
 
-  BlockService service(
-      *grid,
-      MemoryHierarchy::paper_testbed(
-          bench.dataset_bytes(), spec.cache_ratio, PolicyKind::kLru,
-          [grid](BlockId id) { return grid->block_bytes(id); }),
-      svc_cfg, &bench.table(), &bench.importance());
+  BlockService service(*grid, bench.make_hierarchy(PolicyKind::kLru),
+                       svc_cfg, &bench.table(), &bench.importance());
 
   std::cout << "dataset : " << bench.store().desc().name << " ("
             << format_bytes(bench.dataset_bytes()) << ", "

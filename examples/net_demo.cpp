@@ -38,12 +38,8 @@ int main(int argc, char** argv) {
   svc_cfg.render_model = spec.render_model;
   svc_cfg.lookup_cost = spec.lookup_cost;
   svc_cfg.leader_pace_seconds = 0.001;
-  BlockService svc(
-      *grid,
-      MemoryHierarchy::paper_testbed(
-          bench.dataset_bytes(), spec.cache_ratio, PolicyKind::kLru,
-          [grid](BlockId id) { return grid->block_bytes(id); }),
-      svc_cfg, &bench.table(), &bench.importance());
+  BlockService svc(*grid, bench.make_hierarchy(PolicyKind::kLru), svc_cfg,
+                   &bench.table(), &bench.importance());
 
   NetServer server(svc);
   server.start();

@@ -10,29 +10,24 @@ ParallelPipeline::ParallelPipeline(const BlockGrid& grid, Partition partition,
                                    PipelineConfig config, double cache_ratio,
                                    const VisibilityTable* table,
                                    const ImportanceTable* importance)
-    : grid_(grid),
-      partition_(std::move(partition)),
+    : partition_(std::move(partition)),
       config_(config),
-      importance_(importance),
-      table_(table),
+      algorithm1_{&grid, table, importance, config.app_aware,
+                  config.sigma_bits, config.render_model, config.lookup_cost},
       bounds_(grid) {
   VIZ_REQUIRE(partition_.block_count() == grid.block_count(),
               "partition/grid block count mismatch");
   if (config_.app_aware) {
-    VIZ_REQUIRE(table_ != nullptr && importance_ != nullptr,
+    VIZ_REQUIRE(table != nullptr && importance != nullptr,
                 "app-aware parallel pipeline needs both tables");
   }
   // Each worker owns 1/N of the dataset and 1/N of every cache level.
-  u64 dataset_bytes = 0;
-  for (BlockId id = 0; id < grid.block_count(); ++id) {
-    dataset_bytes += grid.block_bytes(id);
-  }
   const usize n = partition_.worker_count();
   hierarchies_.reserve(n);
   for (usize w = 0; w < n; ++w) {
     hierarchies_.push_back(MemoryHierarchy::paper_testbed(
-        std::max<u64>(1, dataset_bytes / n), cache_ratio, config_.policy,
-        [g = &grid_](BlockId id) { return g->block_bytes(id); }));
+        std::max<u64>(1, grid.total_bytes() / n), cache_ratio, config_.policy,
+        [g = &grid](BlockId id) { return g->block_bytes(id); }));
   }
   metrics_ = std::make_unique<MetricsRegistry>();
   // Same prefix for every worker: the registry's find-or-create semantics
@@ -58,125 +53,92 @@ ParallelRunResult ParallelPipeline::run(const CameraPath& path) {
       "pipeline.step.total_seconds", latency_seconds_bounds());
   SimSeconds clock = 0.0;
 
+  // Every block list is split by owner: each worker runs Algorithm 1 over
+  // its own slice, against its own hierarchy and DRAM budget.
+  std::vector<std::vector<BlockId>> visible(n), predicted(n);
+  auto slice = [this](std::span<const BlockId> ids,
+                      std::vector<std::vector<BlockId>>& slices) {
+    for (std::vector<BlockId>& s : slices) s.clear();
+    for (BlockId id : ids) slices[partition_.owner(id)].push_back(id);
+  };
+
   // Preload: each worker stages its own most-important blocks.
   if (config_.app_aware && config_.preload_important) {
-    std::vector<u64> budget(n);
+    std::vector<std::vector<BlockId>> ranked(n);
+    slice(algorithm1_.importance->ranked(), ranked);
     for (usize w = 0; w < n; ++w) {
-      budget[w] = hierarchies_[w].cache(0).capacity_bytes();
-    }
-    for (BlockId id : importance_->ranked()) {
-      if (importance_->entropy(id) <= config_.sigma_bits) break;
-      u32 w = partition_.owner(id);
-      const u64 bytes = grid_.block_bytes(id);
-      if (bytes > budget[w]) continue;
-      hierarchies_[w].preload(id);
-      budget[w] -= bytes;
+      MemoryPort port(hierarchies_[w], 0);
+      preload_important(port, *algorithm1_.grid, *algorithm1_.importance,
+                        ranked[w], config_.sigma_bits);
     }
   }
 
   SimSeconds summed_io_work = 0.0;  // for fetch_speedup
+  std::vector<StepResult> worker_steps(n);
 
   for (usize i = 0; i < path.size(); ++i) {
     const u64 step = i + 1;
+    const std::vector<BlockId> view = bounds_.visible_blocks(path[i]);
+    slice(view, visible);
+    std::span<const BlockId> prediction;
+    if (config_.app_aware) {
+      prediction = algorithm1_.table->query(path[i].position());
+    }
+    slice(prediction, predicted);
+
+    // The step's times are makespans: the slowest worker's fetch, render
+    // (plus compositing ~ the base cost) and prefetch.
     StepResult sr;
     sr.step = step;
-
-    std::vector<BlockId> visible = bounds_.visible_blocks(path[i]);
-    sr.visible_blocks = visible.size();
-
-    // Demand fetch: each worker pulls its share concurrently.
-    std::vector<SimSeconds> worker_io(n, 0.0);
-    std::vector<usize> worker_blocks(n, 0);
-    for (BlockId id : visible) {
-      u32 w = partition_.owner(id);
-      if (!hierarchies_[w].resident_fast(id)) ++sr.fast_misses;
-      SimSeconds t = hierarchies_[w].fetch(id, step);
-      worker_io[w] += t;
-      ++worker_blocks[w];
-      result.workers[w].entropy_load +=
-          importance_ ? importance_->entropy(id) : 0.0;
-    }
+    sr.visible_blocks = view.size();
     for (usize w = 0; w < n; ++w) {
-      result.workers[w].io_time += worker_io[w];
-      result.workers[w].blocks_fetched += worker_blocks[w];
-      summed_io_work += worker_io[w];
+      MemoryPort port(hierarchies_[w], step);
+      const StepResult& ws = worker_steps[w] = algorithm1_step(
+          algorithm1_, port, step, visible[w], predicted[w]);
+      WorkerStats& stats = result.workers[w];
+      if (algorithm1_.importance) {
+        for (BlockId id : visible[w]) {
+          stats.entropy_load += algorithm1_.importance->entropy(id);
+        }
+      }
+      stats.io_time += ws.io_time;
+      stats.blocks_fetched += ws.visible_blocks;
+      stats.prefetch_time += ws.prefetch_time;
+      summed_io_work += ws.io_time;
+      sr.fast_misses += ws.fast_misses;
+      sr.prefetched += ws.prefetched;
+      sr.io_time = std::max(sr.io_time, ws.io_time);
+      sr.render_time = std::max(sr.render_time, ws.render_time);
+      sr.prefetch_time = std::max(sr.prefetch_time, ws.prefetch_time);
+      sr.lookup_time = ws.lookup_time;
     }
-    sr.io_time = *std::max_element(worker_io.begin(), worker_io.end());
-
-    // Rendering is parallel too: the frame takes as long as the worker with
-    // the largest visible share (plus compositing ~ the base cost).
-    usize max_share = *std::max_element(worker_blocks.begin(), worker_blocks.end());
-    sr.render_time = config_.render_model.frame_time(max_share);
+    sr.total_time = step_total_time(sr, config_.app_aware);
 
     // Timeline: each worker fetches its share from `clock`, then all join at
     // the fetch barrier (the step's I/O makespan) and render concurrently.
+    // The shared T_visible lookup runs once (worker 0's overlap lane), then
+    // each worker prefetches its share during the render.
     const SimSeconds render_start = clock + sr.io_time;
-    for (usize w = 0; w < n; ++w) {
-      if (worker_blocks[w] > 0) {
-        result.timeline.record({StepEvent::Kind::kFetch, step,
-                                static_cast<u32>(w), clock,
-                                clock + worker_io[w], worker_blocks[w]});
-      }
-      result.timeline.record(
-          {StepEvent::Kind::kRender, step, static_cast<u32>(w), render_start,
-           render_start + config_.render_model.frame_time(worker_blocks[w]),
-           0});
-    }
-
+    const SimSeconds prefetch_start = render_start + sr.lookup_time;
     if (config_.app_aware) {
-      sr.lookup_time = table_->lookup_time(config_.lookup_cost);
-      const std::vector<BlockId>& predicted = table_->query(path[i].position());
-
-      std::vector<SimSeconds> worker_pf(n, 0.0);
-      std::vector<usize> worker_pf_blocks(n, 0);
-      std::vector<u64> budget(n);
-      for (usize w = 0; w < n; ++w) {
-        u64 cap = hierarchies_[w].cache(0).capacity_bytes();
-        u64 used = 0;
-        for (BlockId id : visible) {
-          if (partition_.owner(id) == w) used += grid_.block_bytes(id);
-        }
-        budget[w] = cap > used ? cap - used : 0;
-      }
-      std::vector<BlockId> candidates;
-      for (BlockId id : predicted) {
-        if (importance_->entropy(id) <= config_.sigma_bits) continue;
-        if (hierarchies_[partition_.owner(id)].resident_fast(id)) continue;
-        candidates.push_back(id);
-      }
-      std::sort(candidates.begin(), candidates.end(),
-                [this](BlockId a, BlockId b) {
-                  return importance_->entropy(a) > importance_->entropy(b);
-                });
-      for (BlockId id : candidates) {
-        u32 w = partition_.owner(id);
-        const u64 bytes = grid_.block_bytes(id);
-        if (bytes > budget[w]) continue;  // this worker is full; others may fit
-        budget[w] -= bytes;
-        SimSeconds t = hierarchies_[w].prefetch(id, step);
-        worker_pf[w] += t;
-        ++worker_pf_blocks[w];
-        result.workers[w].prefetch_time += t;
-        ++sr.prefetched;
-      }
-      sr.prefetch_time = *std::max_element(worker_pf.begin(), worker_pf.end());
-      sr.total_time = sr.io_time +
-                      std::max(sr.render_time, sr.lookup_time + sr.prefetch_time);
-
-      // Timeline: the shared T_visible lookup runs once (worker 0's overlap
-      // lane), then each worker prefetches its share during the render.
       result.timeline.record({StepEvent::Kind::kLookup, step, 0, render_start,
-                              render_start + sr.lookup_time, 0});
-      const SimSeconds prefetch_start = render_start + sr.lookup_time;
-      for (usize w = 0; w < n; ++w) {
-        if (worker_pf_blocks[w] == 0) continue;
-        result.timeline.record({StepEvent::Kind::kPrefetch, step,
-                                static_cast<u32>(w), prefetch_start,
-                                prefetch_start + worker_pf[w],
-                                worker_pf_blocks[w]});
+                              prefetch_start, 0});
+    }
+    for (usize w = 0; w < n; ++w) {
+      const StepResult& ws = worker_steps[w];
+      const auto lane = static_cast<u32>(w);
+      if (ws.visible_blocks > 0) {
+        result.timeline.record({StepEvent::Kind::kFetch, step, lane, clock,
+                                clock + ws.io_time, ws.visible_blocks});
       }
-    } else {
-      sr.total_time = sr.io_time + sr.render_time;
+      result.timeline.record({StepEvent::Kind::kRender, step, lane,
+                              render_start, render_start + ws.render_time, 0});
+      if (ws.prefetched > 0) {
+        result.timeline.record({StepEvent::Kind::kPrefetch, step, lane,
+                                prefetch_start,
+                                prefetch_start + ws.prefetch_time,
+                                ws.prefetched});
+      }
     }
 
     step_hist.observe(sr.total_time);

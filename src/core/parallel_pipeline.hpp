@@ -64,11 +64,9 @@ class ParallelPipeline {
   MetricsRegistry& metrics() { return *metrics_; }
 
  private:
-  const BlockGrid& grid_;
   Partition partition_;
   PipelineConfig config_;
-  const ImportanceTable* importance_;
-  const VisibilityTable* table_;
+  Algorithm1Setup algorithm1_;
   BlockBoundsIndex bounds_;
   std::vector<MemoryHierarchy> hierarchies_;  ///< one per worker
   /// Heap-owned for movability (see VizPipeline::metrics_).

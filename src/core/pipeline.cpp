@@ -1,27 +1,40 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/error.hpp"
 
 namespace vizcache {
 
+void RunResult::summarize(const HierarchyStats& stats) {
+  hierarchy = stats;
+  fast_miss_rate = stats.fast_miss_rate();
+  total_miss_rate = stats.total_miss_rate();
+  for (const StepResult& s : steps) {
+    io_time += s.io_time;
+    lookup_time += s.lookup_time;
+    prefetch_time += s.prefetch_time;
+    render_time += s.render_time;
+    total_time += s.total_time;
+  }
+}
+
 VizPipeline::VizPipeline(const BlockGrid& grid, MemoryHierarchy hierarchy,
                          PipelineConfig config, const VisibilityTable* table,
                          const ImportanceTable* importance,
                          const BlockMetadataTable* metadata)
-    : grid_(grid),
-      hierarchy_(std::move(hierarchy)),
+    : hierarchy_(std::move(hierarchy)),
       config_(config),
-      table_(table),
-      importance_(importance),
+      algorithm1_{&grid, table, importance, config.app_aware,
+                  config.sigma_bits, config.render_model, config.lookup_cost},
       metadata_(metadata),
       bounds_(grid),
       metrics_(std::make_unique<MetricsRegistry>()) {
   hierarchy_.bind_metrics(metrics_.get());
   if (config_.app_aware) {
-    VIZ_REQUIRE(table_ != nullptr, "app-aware pipeline needs T_visible");
-    VIZ_REQUIRE(importance_ != nullptr, "app-aware pipeline needs T_important");
+    VIZ_REQUIRE(table != nullptr, "app-aware pipeline needs T_visible");
+    VIZ_REQUIRE(importance != nullptr, "app-aware pipeline needs T_important");
   }
 }
 
@@ -33,22 +46,11 @@ RunResult VizPipeline::run(const CameraPath& path,
   hierarchy_.reset();
   metrics_->reset();
 
-  // Algorithm 1 lines 1-7: initialization and importance preloading. Blocks
-  // with entropy above sigma enter fast memory (capacity permitting), most
-  // important first. Preloading is pre-processing: no time is charged.
+  // Algorithm 1 lines 1-7: importance preloading.
   if (config_.app_aware && config_.preload_important) {
-    const u64 capacity = hierarchy_.cache(0).capacity_bytes();
-    u64 budget = capacity;
-    for (BlockId id : importance_->ranked()) {
-      if (importance_->entropy(id) <= config_.sigma_bits) break;
-      const u64 bytes = grid_.block_bytes(id);
-      // A block too large for the remaining budget does not end the preload:
-      // a smaller, less important block may still fit (the parallel pipeline
-      // always skipped instead of stopping; keep the two in lockstep).
-      if (bytes > budget) continue;  // fill fast memory, never thrash it
-      hierarchy_.preload(id);
-      budget -= bytes;
-    }
+    MemoryPort port(hierarchy_, 0);
+    preload_important(port, *algorithm1_.grid, *algorithm1_.importance,
+                      algorithm1_.importance->ranked(), config_.sigma_bits);
   }
 
   RunResult result;
@@ -58,44 +60,37 @@ RunResult VizPipeline::run(const CameraPath& path,
   SimSeconds clock = 0.0;
   // Steps are 1-based so preloaded blocks (step 0) are evictable at step 1.
   for (usize i = 0; i < path.size(); ++i) {
-    const RegionQuery* query =
-        schedule ? &schedule->active_at(i) : nullptr;
-    const StepResult sr = run_step(path[i], i + 1, query, result.trace);
-    result.steps.push_back(sr);
-    step_hist.observe(sr.total_time);
-
-    // Timeline spans of this step on the run's simulated clock. Demand
-    // fetches come first; the render starts once they land; the app-aware
-    // lookup + prefetch pass runs concurrently with the render (Algorithm 1
-    // line 22) and lands on the overlap lane.
-    const SimSeconds render_start = clock + sr.io_time;
-    result.timeline.record({StepEvent::Kind::kFetch, sr.step, 0, clock,
-                            render_start, sr.visible_blocks});
-    result.timeline.record({StepEvent::Kind::kRender, sr.step, 0, render_start,
-                            render_start + sr.render_time, 0});
+    const u64 step = i + 1;
+    // Lines 9-13: the exact visible set of this view point. A data-dependent
+    // query narrows it to blocks that may contain matching values (min/max
+    // metadata culling), and likewise the prediction.
+    const RegionQuery* query = schedule ? &schedule->active_at(i) : nullptr;
+    const std::vector<BlockId> visible =
+        query ? query_visible_blocks(path[i], bounds_, *metadata_, *query)
+              : bounds_.visible_blocks(path[i]);
+    for (BlockId id : visible) result.trace.record(step, id);
+    std::span<const BlockId> predicted;
+    std::vector<BlockId> matching;
     if (config_.app_aware) {
-      const SimSeconds lookup_end = render_start + sr.lookup_time;
-      result.timeline.record(
-          {StepEvent::Kind::kLookup, sr.step, 0, render_start, lookup_end, 0});
-      if (sr.prefetched > 0 || sr.prefetch_time > 0.0) {
-        result.timeline.record({StepEvent::Kind::kPrefetch, sr.step, 0,
-                                lookup_end, lookup_end + sr.prefetch_time,
-                                sr.prefetched});
+      predicted = algorithm1_.table->query(path[i].position());
+      if (query) {
+        std::copy_if(predicted.begin(), predicted.end(),
+                     std::back_inserter(matching), [&](BlockId id) {
+                       return query->may_match(*metadata_, id);
+                     });
+        predicted = matching;
       }
     }
+    MemoryPort port(hierarchy_, step);
+    const StepResult sr =
+        algorithm1_step(algorithm1_, port, step, visible, predicted);
+    result.steps.push_back(sr);
+    step_hist.observe(sr.total_time);
+    record_step_spans(result.timeline, sr, 0, clock, config_.app_aware);
     clock += sr.total_time;
   }
 
-  result.hierarchy = hierarchy_.stats();
-  result.fast_miss_rate = result.hierarchy.fast_miss_rate();
-  result.total_miss_rate = result.hierarchy.total_miss_rate();
-  for (const StepResult& s : result.steps) {
-    result.io_time += s.io_time;
-    result.lookup_time += s.lookup_time;
-    result.prefetch_time += s.prefetch_time;
-    result.render_time += s.render_time;
-    result.total_time += s.total_time;
-  }
+  result.summarize(hierarchy_.stats());
   metrics_->counter("pipeline.steps").inc(path.size());
   metrics_->gauge("pipeline.io_seconds").set(result.io_time);
   metrics_->gauge("pipeline.lookup_seconds").set(result.lookup_time);
@@ -105,76 +100,6 @@ RunResult VizPipeline::run(const CameraPath& path,
   metrics_->gauge("pipeline.fast_miss_rate").set(result.fast_miss_rate);
   result.metrics = metrics_->snapshot();
   return result;
-}
-
-StepResult VizPipeline::run_step(const Camera& camera, u64 step,
-                                 const RegionQuery* query,
-                                 TraceRecorder& trace) {
-  StepResult sr;
-  sr.step = step;
-
-  // Algorithm 1 lines 9-13: the exact visible set of this view point. A
-  // data-dependent query narrows it to blocks that may contain matching
-  // values (min/max metadata culling).
-  std::vector<BlockId> visible =
-      query ? query_visible_blocks(camera, bounds_, *metadata_, *query)
-            : bounds_.visible_blocks(camera);
-  sr.visible_blocks = visible.size();
-
-  // Lines 14-19: stage every visible block into fast memory; replacement is
-  // the hierarchy's policy with per-step protection (time[victim] < i).
-  for (BlockId id : visible) {
-    trace.record(step, id);
-    if (!hierarchy_.resident_fast(id)) ++sr.fast_misses;
-    sr.io_time += hierarchy_.fetch(id, step);
-  }
-
-  // Line 21: render the visible blocks.
-  sr.render_time = config_.render_model.frame_time(visible.size());
-
-  if (config_.app_aware) {
-    // Line 22: during rendering, look up T_visible at the nearest sampled
-    // view point and prefetch the predicted blocks whose entropy exceeds
-    // sigma. Prefetch time overlaps rendering.
-    sr.lookup_time = table_->lookup_time(config_.lookup_cost);
-    const std::vector<BlockId>& predicted = table_->query(camera.position());
-
-    // Paper Section IV-B "ideal case": predicted + current visible blocks
-    // together fill fast memory. Budget prefetching to the DRAM space not
-    // occupied by this step's visible set, most important blocks first, so
-    // over-prediction cannot thrash the working set.
-    u64 visible_bytes = 0;
-    for (BlockId id : visible) visible_bytes += grid_.block_bytes(id);
-    const u64 capacity = hierarchy_.cache(0).capacity_bytes();
-    u64 budget = capacity > visible_bytes ? capacity - visible_bytes : 0;
-
-    std::vector<BlockId> candidates;
-    candidates.reserve(predicted.size());
-    for (BlockId id : predicted) {
-      if (importance_->entropy(id) <= config_.sigma_bits) continue;
-      // Under an active query, blocks that cannot contain matching values
-      // are not worth prefetching either.
-      if (query && !query->may_match(*metadata_, id)) continue;
-      if (hierarchy_.resident_fast(id)) continue;
-      candidates.push_back(id);
-    }
-    std::sort(candidates.begin(), candidates.end(), [this](BlockId a, BlockId b) {
-      return importance_->entropy(a) > importance_->entropy(b);
-    });
-    for (BlockId id : candidates) {
-      const u64 bytes = grid_.block_bytes(id);
-      if (bytes > budget) break;
-      budget -= bytes;
-      sr.prefetch_time += hierarchy_.prefetch(id, step);
-      ++sr.prefetched;
-    }
-    sr.total_time =
-        sr.io_time + std::max(sr.render_time, sr.lookup_time + sr.prefetch_time);
-  } else {
-    // Baselines cannot overlap: I/O is idle during rendering (Section IV-D).
-    sr.total_time = sr.io_time + sr.render_time;
-  }
-  return sr;
 }
 
 }  // namespace vizcache

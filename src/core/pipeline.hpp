@@ -3,6 +3,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/algorithm1.hpp"
 #include "core/importance.hpp"
 #include "core/query.hpp"
 #include "core/visibility.hpp"
@@ -15,21 +16,6 @@
 #include "util/step_timeline.hpp"
 
 namespace vizcache {
-
-/// Per-step timing/counters of a pipeline run.
-struct StepResult {
-  u64 step = 0;
-  usize visible_blocks = 0;
-  usize fast_misses = 0;        ///< visible blocks not already in fast memory
-  usize prefetched = 0;         ///< blocks moved by this step's prefetch pass
-  SimSeconds io_time = 0.0;     ///< demand fetch time
-  SimSeconds lookup_time = 0.0; ///< T_visible nearest-sample query time
-  SimSeconds prefetch_time = 0.0;
-  SimSeconds render_time = 0.0;
-  /// Step wall time. Baselines: io + render. App-aware: io + max(render,
-  /// lookup + prefetch) — prefetching overlaps rendering (paper Section V-D).
-  SimSeconds total_time = 0.0;
-};
 
 /// Whole-run aggregate.
 struct RunResult {
@@ -49,6 +35,9 @@ struct RunResult {
 
   /// The paper's Fig. 7b metric: demand I/O plus table-lookup overhead.
   SimSeconds io_plus_lookup() const { return io_time + lookup_time; }
+
+  /// Fills the aggregates from `steps` and the hierarchy's end-of-run stats.
+  void summarize(const HierarchyStats& stats);
 };
 
 /// Configuration of one visualization run over a camera path.
@@ -103,14 +92,9 @@ class VizPipeline {
   MetricsRegistry& metrics() { return *metrics_; }
 
  private:
-  StepResult run_step(const Camera& camera, u64 step, const RegionQuery* query,
-                      TraceRecorder& trace);
-
-  const BlockGrid& grid_;
   MemoryHierarchy hierarchy_;
   PipelineConfig config_;
-  const VisibilityTable* table_;
-  const ImportanceTable* importance_;
+  Algorithm1Setup algorithm1_;
   const BlockMetadataTable* metadata_;
   BlockBoundsIndex bounds_;
   /// Heap-owned so the pipeline stays movable (MetricsRegistry holds a

@@ -14,8 +14,9 @@ TemporalPipeline::TemporalPipeline(
       hierarchy_(std::move(hierarchy)),
       config_(config),
       playback_(playback),
-      table_(table),
       importance_(importance_per_step),
+      algorithm1_{&grid, table, nullptr, config.app_aware,
+                  config.sigma_bits, config.render_model, config.lookup_cost},
       bounds_(grid) {
   VIZ_REQUIRE(playback_.timesteps >= 1, "need at least one timestep");
   VIZ_REQUIRE(playback_.steps_per_timestep >= 1,
@@ -25,7 +26,7 @@ TemporalPipeline::TemporalPipeline(
                   static_cast<u64>(kInvalidBlock),
               "block x timestep key space overflows BlockId");
   if (config_.app_aware) {
-    VIZ_REQUIRE(table_ != nullptr, "app-aware temporal pipeline needs T_visible");
+    VIZ_REQUIRE(table != nullptr, "app-aware temporal pipeline needs T_visible");
     VIZ_REQUIRE(importance_ != nullptr &&
                     importance_->size() == playback_.timesteps,
                 "app-aware temporal pipeline needs one importance table per "
@@ -45,128 +46,58 @@ RunResult TemporalPipeline::run(const CameraPath& path) {
 
   // Preload: the most important blocks of the FIRST timestep (playback
   // starts there).
+  const usize nblocks = grid_.block_count();
   if (config_.app_aware && config_.preload_important) {
-    const u64 capacity = hierarchy_.cache(0).capacity_bytes();
-    u64 budget = capacity;
     const ImportanceTable& imp0 = (*importance_)[0];
-    for (BlockId id : imp0.ranked()) {
-      if (imp0.entropy(id) <= config_.sigma_bits) break;
-      const u64 bytes = grid_.block_bytes(id);
-      if (bytes > budget) break;
-      hierarchy_.preload(TimeBlockKey::pack(id, 0, grid_.block_count()));
-      budget -= bytes;
-    }
+    MemoryPort port(hierarchy_, 0);
+    preload_important(port, grid_, imp0, imp0.ranked(), config_.sigma_bits);
   }
 
   RunResult result;
   result.steps.reserve(path.size());
   for (usize i = 0; i < path.size(); ++i) {
-    result.steps.push_back(
-        run_step(path[i], i + 1, timestep_at(i), result.trace));
-  }
-
-  result.hierarchy = hierarchy_.stats();
-  result.fast_miss_rate = result.hierarchy.fast_miss_rate();
-  result.total_miss_rate = result.hierarchy.total_miss_rate();
-  for (const StepResult& s : result.steps) {
-    result.io_time += s.io_time;
-    result.lookup_time += s.lookup_time;
-    result.prefetch_time += s.prefetch_time;
-    result.render_time += s.render_time;
-    result.total_time += s.total_time;
-  }
-  return result;
-}
-
-StepResult TemporalPipeline::run_step(const Camera& camera, u64 step,
-                                      usize timestep, TraceRecorder& trace) {
-  StepResult sr;
-  sr.step = step;
-  const usize nblocks = grid_.block_count();
-
-  std::vector<BlockId> visible = bounds_.visible_blocks(camera);
-  sr.visible_blocks = visible.size();
-
-  u64 visible_bytes = 0;
-  for (BlockId id : visible) {
-    BlockId key = TimeBlockKey::pack(id, timestep, nblocks);
-    trace.record(step, key);
-    if (!hierarchy_.resident_fast(key)) ++sr.fast_misses;
-    sr.io_time += hierarchy_.fetch(key, step);
-    visible_bytes += grid_.block_bytes(id);
-  }
-
-  sr.render_time = config_.render_model.frame_time(visible.size());
-
-  if (config_.app_aware) {
-    sr.lookup_time = table_->lookup_time(config_.lookup_cost);
-    const ImportanceTable& imp = (*importance_)[timestep];
-
-    const u64 capacity = hierarchy_.cache(0).capacity_bytes();
-    u64 budget = capacity > visible_bytes ? capacity - visible_bytes : 0;
-
-    // Spatial prediction at the current timestep (paper Algorithm 1).
-    std::vector<BlockId> candidates;
-    for (BlockId id : table_->query(camera.position())) {
-      if (imp.entropy(id) <= config_.sigma_bits) continue;
-      BlockId key = TimeBlockKey::pack(id, timestep, nblocks);
-      if (hierarchy_.resident_fast(key)) continue;
-      candidates.push_back(id);
+    const u64 step = i + 1;
+    const usize t = timestep_at(i);
+    const BlockId base = TimeBlockKey::pack(0, t, nblocks);
+    const std::vector<BlockId> visible = bounds_.visible_blocks(path[i]);
+    for (BlockId id : visible) result.trace.record(step, base + id);
+    MemoryPort port(hierarchy_, step, base);
+    if (!config_.app_aware) {
+      result.steps.push_back(
+          algorithm1_step(algorithm1_, port, step, visible, {}));
+      continue;
     }
-    std::sort(candidates.begin(), candidates.end(),
-              [&imp](BlockId a, BlockId b) {
-                return imp.entropy(a) > imp.entropy(b);
-              });
-
-    // Temporal prediction: the playback clock is deterministic, so the
-    // current view's blocks at the NEXT timestep are near-certain future
-    // requests. They are queued after the spatial candidates.
-    std::vector<BlockId> temporal;
-    usize next_t = timestep + 1;
+    // Spatial prediction at the current timestep (paper Algorithm 1), then
+    // the temporal one: the playback clock is deterministic, so the current
+    // view's blocks at the NEXT timestep are near-certain future requests,
+    // queued after the spatial candidates.
+    Algorithm1Setup setup = algorithm1_;
+    setup.importance = &(*importance_)[t];
+    const std::vector<BlockId>& predicted =
+        setup.table->query(path[i].position());
+    usize next_t = t + 1;
     if (playback_.loop) next_t %= playback_.timesteps;
-    bool time_advances =
-        config_.temporal_prefetch && next_t != timestep &&
-        next_t < playback_.timesteps;
-    if (time_advances) {
-      const ImportanceTable& imp_next = (*importance_)[next_t];
-      for (BlockId id : visible) {
-        if (imp_next.entropy(id) <= config_.sigma_bits) continue;
-        BlockId key = TimeBlockKey::pack(id, next_t, nblocks);
-        if (!hierarchy_.resident_fast(key)) temporal.push_back(id);
-      }
-    }
-
-    auto prefetch_keys = [&](const std::vector<BlockId>& ids, usize t) {
-      for (BlockId id : ids) {
-        const u64 bytes = grid_.block_bytes(id);
-        if (bytes > budget) return;
-        budget -= bytes;
-        sr.prefetch_time +=
-            hierarchy_.prefetch(TimeBlockKey::pack(id, t, nblocks), step);
-        ++sr.prefetched;
-      }
-    };
-    prefetch_keys(candidates, timestep);
-    if (time_advances) prefetch_keys(temporal, next_t);
-
-    sr.total_time =
-        sr.io_time + std::max(sr.render_time, sr.lookup_time + sr.prefetch_time);
-  } else {
-    sr.total_time = sr.io_time + sr.render_time;
+    const bool time_advances = config_.temporal_prefetch && next_t != t &&
+                               next_t < playback_.timesteps;
+    MemoryPort next_port(hierarchy_, step,
+                         TimeBlockKey::pack(0, next_t, nblocks));
+    const TrailingPrefetch next{
+        &next_port, time_advances ? &(*importance_)[next_t] : nullptr, visible};
+    result.steps.push_back(algorithm1_step(setup, port, step, visible,
+                                           predicted,
+                                           time_advances ? &next : nullptr));
   }
-  return sr;
+
+  result.summarize(hierarchy_.stats());
+  return result;
 }
 
 MemoryHierarchy make_temporal_hierarchy(const BlockGrid& grid,
                                         usize timesteps, double cache_ratio,
                                         PolicyKind policy) {
-  u64 step_bytes = 0;
-  for (BlockId id = 0; id < grid.block_count(); ++id) {
-    step_bytes += grid.block_bytes(id);
-  }
   const usize nblocks = grid.block_count();
   return MemoryHierarchy::paper_testbed(
-      step_bytes * timesteps, cache_ratio, policy,
+      grid.total_bytes() * timesteps, cache_ratio, policy,
       [&grid, nblocks](BlockId key) {
         return grid.block_bytes(TimeBlockKey::spatial(key, nblocks));
       });

@@ -68,15 +68,13 @@ class TemporalPipeline {
   usize timestep_at(usize path_index) const;
 
  private:
-  StepResult run_step(const Camera& camera, u64 step, usize timestep,
-                      TraceRecorder& trace);
-
   const BlockGrid& grid_;
   MemoryHierarchy hierarchy_;
   TemporalConfig config_;
   PlaybackSpec playback_;
-  const VisibilityTable* table_;
   const std::vector<ImportanceTable>* importance_;
+  /// Importance is per timestep: each step points a copy at its own.
+  Algorithm1Setup algorithm1_;
   BlockBoundsIndex bounds_;
 };
 

@@ -41,12 +41,7 @@ Workbench::Workbench(const WorkbenchSpec& spec) : spec_(spec) {
   rebuild_table(spec_.omega, spec_.fixed_radius);
 }
 
-u64 Workbench::dataset_bytes() const {
-  u64 total = 0;
-  const BlockGrid& g = store_->grid();
-  for (BlockId id = 0; id < g.block_count(); ++id) total += g.block_bytes(id);
-  return total;
-}
+u64 Workbench::dataset_bytes() const { return store_->grid().total_bytes(); }
 
 void Workbench::rebuild_table(const OmegaSamplingSpec& omega,
                               std::optional<double> fixed_radius) {

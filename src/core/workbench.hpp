@@ -87,9 +87,10 @@ class Workbench {
   /// then replays it under Belady's MIN at every level.
   RunResult run_belady(const CameraPath& path) const;
 
- private:
+  /// A cold paper-testbed hierarchy over this dataset at the spec's ratio.
   MemoryHierarchy make_hierarchy(PolicyKind policy) const;
 
+ private:
   WorkbenchSpec spec_;
   /// Worker pool for table construction (importance + visibility chunk their
   /// block/entry loops over it). Declared first so it outlives every user.

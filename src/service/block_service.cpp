@@ -7,18 +7,64 @@
 
 namespace vizcache {
 
+namespace {
+
+/// Algorithm 1's port over the shared hierarchy for one session step, bound
+/// to the step's epoch and the session's fair share of the prefetch budget.
+class SessionPort final : public HierarchyPort {
+ public:
+  SessionPort(SharedHierarchy& shared, u64 epoch, u64 prefetch_share)
+      : shared_(shared), epoch_(epoch), share_(prefetch_share) {}
+  bool resident_fast(BlockId id) const override {
+    return shared_.resident_fast(id);
+  }
+  Fetch fetch(BlockId id) override {
+    const SharedHierarchy::FetchResult fr = shared_.fetch(id, epoch_);
+    if (fr.coalesced) ++coalesced_hits;
+    return {fr.seconds, fr.fast_hit};
+  }
+  Prefetch prefetch(BlockId id, u64 bytes) override {
+    // Blowing the fair share sheds only THIS block: a smaller one may still
+    // fit, and demand fetches are never shed.
+    if (bytes > share_) {
+      ++shed;
+      return {0.0, true};
+    }
+    const SharedHierarchy::PrefetchResult pr = shared_.prefetch(id, epoch_);
+    if (pr.suppressed) {
+      ++suppressed;  // in flight elsewhere: budget not consumed
+      return {0.0, true};
+    }
+    share_ -= bytes;
+    return {pr.seconds, false};
+  }
+  void preload(BlockId id) override { shared_.preload(id); }
+  u64 fast_capacity_bytes() const override {
+    return shared_.fast_capacity_bytes();
+  }
+
+  usize coalesced_hits = 0, shed = 0, suppressed = 0;
+
+ private:
+  SharedHierarchy& shared_;
+  u64 epoch_;
+  u64 share_;
+};
+
+}  // namespace
+
 BlockService::BlockService(const BlockGrid& grid, MemoryHierarchy hierarchy,
                            ServiceConfig config, const VisibilityTable* table,
                            const ImportanceTable* importance)
     : grid_(grid),
       config_(config),
-      table_(table),
-      importance_(importance),
+      algorithm1_{&grid, table, importance, config.app_aware,
+                  config.sigma_bits, config.render_model, config.lookup_cost},
       bounds_(grid),
       shared_(std::move(hierarchy), config.leader_pace_seconds) {
   if (config_.app_aware) {
-    VIZ_REQUIRE(table_ != nullptr, "app-aware service needs T_visible");
-    VIZ_REQUIRE(importance_ != nullptr, "app-aware service needs T_important");
+    VIZ_REQUIRE(table != nullptr, "app-aware service needs T_visible");
+    VIZ_REQUIRE(importance != nullptr, "app-aware service needs T_important");
   }
   shared_.bind_metrics(&metrics_, "service.hierarchy");
   ins_.opened = &metrics_.counter("service.sessions.opened");
@@ -38,30 +84,11 @@ BlockService::BlockService(const BlockGrid& grid, MemoryHierarchy hierarchy,
   // Service-wide analogue of Algorithm 1 line 7: warm the SHARED fast level
   // once, most important blocks first, before any session arrives.
   if (config_.app_aware && config_.preload_important) {
-    MetricCounter& scanned = metrics_.counter("service.preload.scanned");
-    MetricCounter& preloaded = metrics_.counter("service.preload.blocks");
-    const std::vector<BlockId>& ranked = importance_->ranked();
-    // Suffix minima of the ranked blocks' sizes: once the budget drops below
-    // the smallest block still ahead, no candidate can fit and the scan must
-    // stop instead of walking the rest of the ranking doing entropy lookups.
-    std::vector<u64> min_bytes_ahead(ranked.size() + 1,
-                                     std::numeric_limits<u64>::max());
-    for (usize i = ranked.size(); i-- > 0;) {
-      min_bytes_ahead[i] =
-          std::min(min_bytes_ahead[i + 1], grid_.block_bytes(ranked[i]));
-    }
-    u64 budget = shared_.fast_capacity_bytes();
-    for (usize i = 0; i < ranked.size(); ++i) {
-      if (budget < min_bytes_ahead[i]) break;  // nothing ahead can fit
-      scanned.inc();
-      const BlockId id = ranked[i];
-      if (importance_->entropy(id) <= config_.sigma_bits) break;
-      const u64 bytes = grid_.block_bytes(id);
-      if (bytes > budget) continue;  // a smaller block may still fit
-      shared_.preload(id);
-      preloaded.inc();
-      budget -= bytes;
-    }
+    SessionPort port(shared_, 0, std::numeric_limits<u64>::max());
+    const PreloadCounts counts = preload_important(
+        port, grid_, *importance, importance->ranked(), config_.sigma_bits);
+    metrics_.counter("service.preload.scanned").inc(counts.scanned);
+    metrics_.counter("service.preload.blocks").inc(counts.preloaded);
   }
 }
 
@@ -123,13 +150,13 @@ BlockService::BlockFetch BlockService::fetch_block(SessionId session,
 }
 
 SessionStepResult BlockService::step(SessionId session, const Camera& camera) {
-  SessionStepResult sr;
+  u64 ordinal = 0;
   u64 prefetch_share = std::numeric_limits<u64>::max();
   {
     MutexLock lock(mutex_);
     auto it = sessions_.find(session);
     VIZ_REQUIRE(it != sessions_.end(), "step on a closed or unknown session");
-    sr.step = ++it->second.summary.steps;
+    ordinal = ++it->second.summary.steps;
     // Fairness: the aggregate prefetch budget is split evenly over the
     // sessions active RIGHT NOW, so one session's appetite cannot consume
     // another's share. Recomputed every step as sessions come and go.
@@ -143,70 +170,17 @@ SessionStepResult BlockService::step(SessionId session, const Camera& camera) {
   // its own — every shared_ call manages the hierarchy leaf lock internally,
   // and the coalescer may block this thread while other sessions proceed.
   const u64 epoch = shared_.begin_step();
-
   const std::vector<BlockId> visible = bounds_.visible_blocks(camera);
-  sr.visible_blocks = visible.size();
-  for (BlockId id : visible) {
-    const SharedHierarchy::FetchResult fr = shared_.fetch(id, epoch);
-    sr.io_time += fr.seconds;
-    if (fr.coalesced) ++sr.coalesced_hits;
-    if (!fr.fast_hit) ++sr.fast_misses;
-  }
-
-  sr.render_time = config_.render_model.frame_time(visible.size());
-
+  std::span<const BlockId> predicted;
   if (config_.app_aware) {
-    sr.lookup_time = table_->lookup_time(config_.lookup_cost);
-    const std::vector<BlockId>& predicted = table_->query(camera.position());
-
-    u64 visible_bytes = 0;
-    for (BlockId id : visible) visible_bytes += grid_.block_bytes(id);
-    const u64 capacity = shared_.fast_capacity_bytes();
-    u64 dram_budget = capacity > visible_bytes ? capacity - visible_bytes : 0;
-
-    std::vector<BlockId> candidates;
-    candidates.reserve(predicted.size());
-    for (BlockId id : predicted) {
-      if (importance_->entropy(id) <= config_.sigma_bits) continue;
-      if (shared_.resident_fast(id)) continue;
-      // analyze: allow(hot-path-alloc): per-step buffer, pre-reserved to the
-      // prediction size the line above; it must stay local — step() runs
-      // concurrently across sessions in this deliberately-unlocked region,
-      // so a hoisted member scratch would race.
-      candidates.push_back(id);
-    }
-    std::sort(candidates.begin(), candidates.end(),
-              [this](BlockId a, BlockId b) {
-                return importance_->entropy(a) > importance_->entropy(b);
-              });
-    for (BlockId id : candidates) {
-      const u64 bytes = grid_.block_bytes(id);
-      // DRAM-budget exhaustion ends the pass (Algorithm 1's rule)...
-      if (bytes > dram_budget) break;
-      // ...but blowing the session's fair share only sheds THIS block: a
-      // smaller candidate may still fit the share, and demand fetches are
-      // untouched either way.
-      if (bytes > prefetch_share) {
-        ++sr.prefetch_shed;
-        continue;
-      }
-      const SharedHierarchy::PrefetchResult pr = shared_.prefetch(id, epoch);
-      if (pr.suppressed) {
-        ++sr.prefetch_suppressed;
-        continue;  // in flight elsewhere: budget not consumed
-      }
-      dram_budget -= bytes;
-      prefetch_share -= bytes;
-      sr.prefetch_time += pr.seconds;
-      ++sr.prefetched;
-    }
-    sr.total_time =
-        sr.io_time + std::max(sr.render_time, sr.lookup_time + sr.prefetch_time);
-  } else {
-    sr.total_time = sr.io_time + sr.render_time;
+    predicted = algorithm1_.table->query(camera.position());
   }
-
+  SessionPort port(shared_, epoch, prefetch_share);
+  const StepResult core =
+      algorithm1_step(algorithm1_, port, ordinal, visible, predicted);
   shared_.end_step(epoch);
+  const SessionStepResult sr{core, port.coalesced_hits, port.shed,
+                             port.suppressed};
 
   ins_.steps->inc();
   ins_.demand_requests->inc(sr.visible_blocks);
@@ -232,22 +206,9 @@ SessionStepResult BlockService::step(SessionId session, const Camera& camera) {
     sum.sim_time += sr.total_time;
 
     // Per-session timeline lane (worker == SessionId) on the session's own
-    // simulated clock, mirroring VizPipeline::run's span layout.
-    const u32 lane = static_cast<u32>(session);
-    const SimSeconds render_start = state.clock + sr.io_time;
-    timeline_.record({StepEvent::Kind::kFetch, sr.step, lane, state.clock,
-                      render_start, sr.visible_blocks});
-    timeline_.record({StepEvent::Kind::kRender, sr.step, lane, render_start,
-                      render_start + sr.render_time, 0});
-    if (config_.app_aware) {
-      const SimSeconds lookup_end = render_start + sr.lookup_time;
-      timeline_.record({StepEvent::Kind::kLookup, sr.step, lane, render_start,
-                        lookup_end, 0});
-      if (sr.prefetched > 0 || sr.prefetch_time > 0.0) {
-        timeline_.record({StepEvent::Kind::kPrefetch, sr.step, lane, lookup_end,
-                          lookup_end + sr.prefetch_time, sr.prefetched});
-      }
-    }
+    // simulated clock, with VizPipeline::run's span layout.
+    record_step_spans(timeline_, sr, static_cast<u32>(session), state.clock,
+                      config_.app_aware);
     state.clock += sr.total_time;
   }
   return sr;

@@ -3,6 +3,7 @@
 #include <optional>
 #include <unordered_map>
 
+#include "core/algorithm1.hpp"
 #include "core/importance.hpp"
 #include "core/visibility.hpp"
 #include "core/visibility_table.hpp"
@@ -47,21 +48,14 @@ struct ServiceConfig {
   double leader_pace_seconds = 0.0;
 };
 
-/// One session step's outcome (the service-side mirror of StepResult).
-struct SessionStepResult {
-  u64 step = 0;                  ///< session-local ordinal, 1-based
-  usize visible_blocks = 0;
-  usize fast_misses = 0;         ///< demand fetches that missed fast memory
+/// One session step's outcome: Algorithm 1's StepResult (`step` is the
+/// session-local ordinal, 1-based) plus what the shared hierarchy and the
+/// admission controller did to it.
+struct SessionStepResult : StepResult {
   usize coalesced_hits = 0;      ///< demand fetches served by waiting on
                                  ///< another session's in-flight read
-  usize prefetched = 0;
   usize prefetch_shed = 0;       ///< dropped by the admission controller
   usize prefetch_suppressed = 0; ///< dropped: block already in flight
-  SimSeconds io_time = 0.0;
-  SimSeconds lookup_time = 0.0;
-  SimSeconds prefetch_time = 0.0;
-  SimSeconds render_time = 0.0;
-  SimSeconds total_time = 0.0;   ///< io + max(render, lookup + prefetch)
 };
 
 /// Whole-of-life aggregate returned by close_session().
@@ -159,8 +153,7 @@ class BlockService {
 
   const BlockGrid& grid_;
   const ServiceConfig config_;
-  const VisibilityTable* const table_;
-  const ImportanceTable* const importance_;
+  const Algorithm1Setup algorithm1_;
   const BlockBoundsIndex bounds_;
   MetricsRegistry metrics_;
   SharedHierarchy shared_;

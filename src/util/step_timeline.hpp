@@ -25,8 +25,8 @@ struct StepEvent {
 
 const char* step_event_kind_name(StepEvent::Kind kind);
 
-/// Append-only per-run event timeline recorded by VizPipeline::run_step and
-/// ParallelPipeline::run. Makes Algorithm 1's overlap claim (line 22:
+/// Append-only per-run event timeline recorded by record_step_spans
+/// (core/algorithm1.hpp) and ParallelPipeline::run. Makes Algorithm 1's overlap claim (line 22:
 /// prefetch during rendering) directly inspectable below the per-run
 /// aggregate: the app-aware pipeline's prefetch spans overlap its render
 /// spans, a baseline's spans are strictly serial.

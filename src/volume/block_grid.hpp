@@ -55,6 +55,8 @@ class BlockGrid {
   u64 block_bytes(BlockId id) const { return block_voxels(id) * 4; }
   /// Bytes of a full interior block.
   u64 nominal_block_bytes() const { return block_dims_.voxels() * 4; }
+  /// Bytes of all blocks together: they tile the volume exactly.
+  u64 total_bytes() const { return volume_dims_.voxels() * 4; }
 
   /// Block bounds in the normalized [-1, 1]^3 frame.
   AABB block_bounds(BlockId id) const;

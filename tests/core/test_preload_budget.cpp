@@ -1,15 +1,20 @@
-// Preload-budget semantics shared by BOTH pipelines (Algorithm 1 line 7).
-// Regression: VizPipeline used to STOP preloading at the first
-// over-budget block (`break`) while ParallelPipeline SKIPPED it and kept
-// going (`continue`), so the two simulators preloaded different sets from
-// identical inputs. The unified semantics is skip-and-continue: a block too
-// large for the remaining fast-memory budget must not shadow a smaller,
-// less-important block that still fits.
+// Budget semantics shared by every pipeline (Algorithm 1 lines 7 and 22).
+// Preload is skip-and-continue: a block too large for the remaining
+// fast-memory budget must not shadow a smaller, less-important block that
+// still fits. Prefetch is the opposite: the first candidate that overflows
+// the DRAM budget ends the pass (per worker in ParallelPipeline).
+// Regressions: VizPipeline and TemporalPipeline once stopped preloading at
+// the first over-budget block, and ParallelPipeline once kept prefetching
+// past an overflow, so the simulators disagreed on identical inputs.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "core/parallel_pipeline.hpp"
 #include "core/pipeline.hpp"
+#include "core/temporal.hpp"
 
 namespace vizcache {
 namespace {
@@ -86,6 +91,60 @@ TEST(PreloadBudget, ParallelAgreesWithSequential) {
   ASSERT_EQ(pr.steps[0].visible_blocks, sr.steps[0].visible_blocks);
   EXPECT_EQ(pr.steps[0].fast_misses, sr.steps[0].fast_misses);
   EXPECT_EQ(pr.steps[0].fast_misses, 3u);
+}
+
+TEST(PreloadBudget, TemporalSkipsOversizeBlockAndKeepsFilling) {
+  BlockGrid grid = make_grid();
+  const std::vector<ImportanceTable> importance{make_importance()};
+  VisibilityTable table = make_table(grid);
+  TemporalConfig cfg;
+  cfg.app_aware = true;
+  cfg.sigma_bits = kSigma;
+  PlaybackSpec playback;
+  playback.timesteps = 1;
+  MemoryHierarchy h = make_temporal_hierarchy(grid, 1, 0.5, PolicyKind::kLru);
+  ASSERT_EQ(h.cache(0).capacity_bytes(), 320u);
+
+  TemporalPipeline pipe(grid, std::move(h), cfg, playback, &table,
+                        &importance);
+  RunResult r = pipe.run(make_path());
+  ASSERT_EQ(r.steps[0].visible_blocks, 4u);
+  // Same as the sequential pipeline: block 3 is preloaded past block 0.
+  EXPECT_EQ(r.steps[0].fast_misses, 3u);
+}
+
+// A 1-degree camera on +z sees only block 1 (384 B). With cache_ratio
+// sqrt(0.5) the DRAM level holds 639 bytes, which leaves a 255 B prefetch
+// budget: block 0 (384 B, most important) overflows it, block 3 (128 B)
+// would fit. Preload is off so both are prefetch candidates.
+TEST(PrefetchBudget, OverflowEndsTheSequentialAndEachWorkersPass) {
+  BlockGrid grid = make_grid();
+  ImportanceTable importance = make_importance();
+  VisibilityTable table = make_table(grid);
+  PipelineConfig cfg = make_config();
+  cfg.preload_important = false;
+  const double ratio = std::sqrt(0.5);
+  const CameraPath path{Camera({0.0, 0.0, 6.0}, 1.0)};
+  const std::vector<BlockId>& predicted = table.query(path[0].position());
+  ASSERT_NE(std::find(predicted.begin(), predicted.end(), 0u), predicted.end());
+  ASSERT_NE(std::find(predicted.begin(), predicted.end(), 3u), predicted.end());
+
+  VizPipeline seq(grid,
+                  MemoryHierarchy::paper_testbed(
+                      1280, ratio, PolicyKind::kLru,
+                      [g = &grid](BlockId id) { return g->block_bytes(id); }),
+                  cfg, &table, &importance);
+  ASSERT_EQ(seq.hierarchy().cache(0).capacity_bytes(), 639u);
+  RunResult sr = seq.run(path);
+  ASSERT_EQ(sr.steps[0].visible_blocks, 1u);
+  EXPECT_EQ(sr.steps[0].prefetched, 0u);
+
+  ParallelPipeline par(grid, partition_round_robin(grid, 1), cfg, ratio,
+                       &table, &importance);
+  ParallelRunResult pr = par.run(path);
+  ASSERT_EQ(pr.steps[0].visible_blocks, 1u);
+  EXPECT_EQ(pr.steps[0].prefetched, 0u);
+  EXPECT_EQ(pr.steps[0].prefetch_time, sr.steps[0].prefetch_time);
 }
 
 }  // namespace

@@ -40,6 +40,7 @@ TEST(BlockGrid, VoxelsSumToVolume) {
     total += grid.block_voxels(id);
   }
   EXPECT_EQ(total, 30u * 17 * 23);
+  EXPECT_EQ(grid.total_bytes(), u64{total} * 4);
 }
 
 TEST(BlockGrid, BoundsCoverNormalizedCube) {

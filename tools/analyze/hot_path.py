@@ -59,6 +59,10 @@ DEFAULT_REGISTRY = {
          "why": "speculative fetch shares the fetch machinery"},
         {"function": "BlockService::step",
          "why": "per-frame admission/eviction step of the shared service"},
+        {"function": "algorithm1_step",
+         "why": "Algorithm 1's per-view step that every pipeline and the "
+                "service run: the per-block visible fetch loop and the "
+                "budgeted prefetch pass, through the hierarchy port"},
         {"function": "SharedHierarchy::fetch",
          "why": "multi-session fetch front door"},
         {"function": "AsyncPrefetcher::get_blocking",
