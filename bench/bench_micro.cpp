@@ -11,6 +11,7 @@
 #include "storage/block_cache.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
+#include "volume/block_store.hpp"
 #include "volume/datasets.hpp"
 #include "volume/octree.hpp"
 
@@ -117,18 +118,17 @@ void BM_ImportanceBuild(benchmark::State& state) {
 BENCHMARK(BM_ImportanceBuild);
 
 void BM_RaycastFrame(benchmark::State& state) {
-  auto vol = std::make_shared<SyntheticVolume>(make_ball_volume({32, 32, 32}));
-  VolumeSampler sampler = [vol](const Vec3& p) -> std::optional<float> {
-    return vol->fn(p, 0, 0);
-  };
+  SyntheticBlockStore store(make_ball_volume({32, 32, 32}), {8, 8, 8});
+  ResidentBrickSet bricks(store.grid());
+  bricks.load_all(store);
   Camera cam({3, 0, 0}, 30.0);
   RaycastParams params;
   params.image_width = static_cast<usize>(state.range(0));
   params.image_height = static_cast<usize>(state.range(0));
   params.step_size = 0.05;
-  TransferFunction tf = TransferFunction::fire();
+  const TransferFunctionLUT lut(TransferFunction::fire(), params.step_size);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(raycast(cam, sampler, tf, params));
+    benchmark::DoNotOptimize(raycast_packet(cam, bricks, lut, params));
   }
 }
 BENCHMARK(BM_RaycastFrame)->Arg(32)->Arg(64);

@@ -7,8 +7,10 @@
 //   2. starts the async prefetch of the predicted next view (T_visible +
 //      entropy filter), and
 //   3. ray-casts the resident bricks while the prefetch threads run —
-// the real-thread version of Algorithm 1's overlap. Frames are written as
-// PPM images, and per-frame hit statistics are printed.
+// the real-thread version of Algorithm 1's overlap. The ray-caster samples
+// blocks below the entropy threshold at a coarser stride (importance-
+// masked adaptive sampling). Frames are written as PPM images, and
+// per-frame hit statistics are printed.
 //
 // Run:  ./combustion_explorer [dir=/tmp/vizcache_flame] [frames=24]
 //       [size=64] [image=160]
@@ -81,6 +83,9 @@ int main(int argc, char** argv) {
   std::cout << "[2/3] building T_important and T_visible ...\n";
   ImportanceTable importance = ImportanceTable::build(store, 128);
   double sigma = importance.threshold_for_fraction(0.75);
+  // Blocks at or below sigma are the ones not worth prefetching; when they
+  // are visible anyway the ray-caster integrates them at stride 4.
+  const SamplingMask mask = make_sampling_mask(importance, sigma);
 
   VisibilityTableSpec ts;
   ts.omega = {10, 20, 2, 2.6, 3.2};
@@ -128,14 +133,14 @@ int main(int argc, char** argv) {
     }
     prefetcher.request(predicted);
 
-    // Block-coherent fast path: residency resolved once per ray/block
-    // segment, bricks sampled trilinearly through raw pointers, colors from
-    // the precomputed LUT — no per-sample hash lookup or TF scan.
+    // Packet fast path: residency resolved once per ray/block segment,
+    // bricks sampled trilinearly through raw pointers, colors from the
+    // precomputed LUT — no per-sample hash lookup or TF scan.
     FrameBricks bricks(grid);
     for (const auto& [id, payload] : resident) bricks.add(id, *payload);
 
     WallTimer timer;
-    Image img = raycast(cam, bricks, lut, rp);
+    Image img = raycast_packet(cam, bricks, lut, rp, nullptr, nullptr, &mask);
     double render_ms = timer.elapsed_ms();
 
     std::string frame_path = dir + "/frame_" + std::to_string(f) + ".ppm";

@@ -97,21 +97,23 @@ int main(int argc, char** argv) {
             << " blocks can contribute visible samples\n\n";
 
   // Visual confirmation: render one frame per query phase with an iso-band
-  // transfer function over the full field.
+  // transfer function over the workbench's bricks. A narrow band has steep
+  // opacity edges, so its LUT needs 16384 entries instead of the default
+  // 1024 to stay within the golden tolerance of the exact function.
   std::filesystem::create_directories(frames_dir);
-  SyntheticVolume vol = make_dataset(spec.dataset, spec.scale);
+  ResidentBrickSet bricks(bench.grid());
+  bricks.load_all(bench.store());
   RaycastParams rparams;
   rparams.image_width = 128;
   rparams.image_height = 128;
   rparams.step_size = 0.02;
   for (usize i = 0; i < changes.size(); ++i) {
     const RangeClause& clause = changes[i].query.clauses().front();
-    TransferFunction tf = TransferFunction::iso_band(
-        clause.lo, clause.hi, {1.0f, 0.45f, 0.1f, 0.85f});
-    VolumeSampler sampler = [&vol](const Vec3& p) -> std::optional<float> {
-      return vol.fn(p, 0, 0);
-    };
-    Image img = raycast(path[changes[i].step], sampler, tf, rparams);
+    const TransferFunctionLUT lut(
+        TransferFunction::iso_band(clause.lo, clause.hi,
+                                   {1.0f, 0.45f, 0.1f, 0.85f}),
+        rparams.step_size, 16384);
+    Image img = raycast_packet(path[changes[i].step], bricks, lut, rparams);
     std::string out = frames_dir + "/iso_phase" + std::to_string(i) + ".ppm";
     img.write_ppm(out);
     std::cout << "phase " << i << " frame: " << out << " (coverage "

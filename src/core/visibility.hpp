@@ -11,9 +11,9 @@ namespace vizcache {
 
 /// Precomputed block bounds for fast repeated visibility sweeps over the
 /// same grid (table construction tests every block against thousands of
-/// sampled frustums). Internally backed by a min/max octree so narrow
-/// frustums prune whole subtrees; results are bit-identical to the
-/// exhaustive per-block scan (see BlockOctree tests).
+/// sampled frustums). Internally backed by a bounding-volume octree so
+/// narrow frustums prune whole subtrees; results are identical to the
+/// exhaustive per-block scan (the BlockOctree tests hold them to one).
 class BlockBoundsIndex {
  public:
   explicit BlockBoundsIndex(const BlockGrid& grid);

@@ -29,8 +29,8 @@ struct BrickView {
 /// sit at i + 0.5 in voxel space, so p maps to s = (p+1)/2 * dims - 0.5 per
 /// axis. Neighbor indices are clamped to the brick's own window — there is
 /// no ghost layer, so values flatten across brick faces. The scalar
-/// reference path funnels through this helper; the block-coherent ray
-/// caster inlines a float-precision variant of the same math, and the
+/// reference path funnels through this helper; the packet ray-caster runs
+/// a float-precision variant of the same math across its lanes, and the
 /// golden-image tests bound the difference between the two.
 inline float sample_brick_trilinear(const Dims3& volume_dims,
                                     const BrickView& brick, const Vec3& p) {
@@ -117,10 +117,10 @@ class ResidentBrickSet final : public BrickSampler {
   usize resident_count_ = 0;
 };
 
-/// Per-point VolumeSampler over `bricks` — the retained scalar reference
-/// path. Pays block lookup + virtual dispatch + std::function indirection
-/// per sample but computes the exact same trilinear values as the
-/// block-coherent path. `bricks` must outlive the returned function.
+/// Per-point VolumeSampler over `bricks` — the scalar reference path's
+/// view of the same residency set the packet path renders. Pays block
+/// lookup + virtual dispatch + std::function indirection per sample, in
+/// double precision. `bricks` must outlive the returned function.
 std::function<std::optional<float>(const Vec3&)> make_reference_sampler(
     const BrickSampler& bricks);
 

@@ -29,13 +29,14 @@ struct RaycastParams {
   float value_max = 1.0f;
 };
 
-/// Work counters filled by a render (all paths). `samples` counts data
+/// Work counters filled by a render (both paths). `samples` counts data
 /// evaluations — the denominator of the bench's ns/sample metric.
-/// `skipped` counts sample positions the block-coherent paths jumped over
-/// in O(1) because the containing brick was not resident (the reference
-/// path evaluates those positions instead, so its `samples` includes
-/// them). At full residency, `samples`, `skipped`, and `rays` of the
-/// DDA and packet paths agree exactly — a regression test pins this.
+/// `skipped` counts sample positions the packet path jumped over in O(1)
+/// because the containing brick was not resident; the reference path
+/// evaluates those positions instead, so its `skipped` stays 0 and its
+/// `samples` includes them. With early termination off, the packet path's
+/// `samples + skipped` therefore does not depend on residency — a
+/// regression test pins this.
 struct RaycastStats {
   u64 rays = 0;        ///< rays that intersected the volume
   u64 samples = 0;     ///< scalar data evaluations along those rays
@@ -47,10 +48,10 @@ struct RaycastStats {
 /// at the origin with the camera's cone angle as vertical field of view.
 /// Pass a ThreadPool to parallelize across image rows (optional).
 ///
-/// This overload is the retained scalar reference path: one VolumeSampler
-/// call per sample, piecewise-linear transfer-function scan, `pow` opacity
-/// correction. It is kept as the semantic baseline the block-coherent path
-/// is benchmarked and golden-tested against.
+/// This is the scalar reference path: one VolumeSampler call per sample,
+/// piecewise-linear transfer-function scan, `pow` opacity correction. It is
+/// the oracle the packet path is golden-tested against, and it renders any
+/// analytic sampler.
 ///
 /// Thread-safety: when a pool is given, each row of `image` is written by
 /// exactly one task (disjoint pixels; the Image is allocated up front), and
@@ -61,44 +62,33 @@ Image raycast(const Camera& camera, const VolumeSampler& sampler,
               const TransferFunction& tf, const RaycastParams& params,
               ThreadPool* pool = nullptr, RaycastStats* stats = nullptr);
 
-/// Block-coherent fast path. Rays are marched through the block grid with a
-/// 3D-DDA: residency is resolved once per ray/block segment via
-/// `bricks.brick()`, resident segments are sampled through a raw pointer
-/// with trilinear filtering, and non-resident segments are skipped in O(1).
-/// Colors come from the precomputed `lut`, whose baked step size must match
-/// `params.step_size`. Sample positions are identical to the reference
-/// path's (t_k = t_entry + k*step with global k), so the two paths agree to
-/// LUT precision on the same residency set.
-///
-/// Thread-safety: same contract as the reference overload; `bricks.brick()`
-/// is called concurrently from render workers.
-Image raycast(const Camera& camera, const BrickSampler& bricks,
-              const TransferFunctionLUT& lut, const RaycastParams& params,
-              ThreadPool* pool = nullptr, RaycastStats* stats = nullptr);
-
-/// SIMD ray-packet fast path. Eight coherent rays (adjacent pixels of one
-/// row) march as one packet: per-lane 3D-DDA segment bookkeeping stays in
-/// scalar double precision (bit-identical segment bounds to the
-/// block-coherent path above), while the per-sample inner loop — trilinear
-/// fetch, LUT lookup, and front-to-back compositing — runs across all
-/// lanes at once through util/simd.hpp (AVX2, or the identical-width
-/// portable fallback). Lanes retire independently under a mask: early-out
-/// opacity termination and ray exit drop a lane without disturbing the
-/// others, non-resident segments are skipped per lane in O(1), and when
-/// packet coherence breaks at brick boundaries the corner fetches fall
-/// back from one shared gather base to per-lane loads.
+/// SIMD ray-packet fast path, the renderer for resident bricks. Eight
+/// coherent rays (adjacent pixels of one row) march as one packet. Each
+/// lane walks the block grid with a scalar double-precision 3D-DDA that
+/// resolves residency once per ray/block segment via `bricks.brick()` and
+/// skips non-resident segments in O(1); the per-sample inner loop —
+/// trilinear fetch through the brick's raw pointer, LUT lookup, and
+/// front-to-back compositing — runs across all lanes at once through
+/// util/simd.hpp (AVX2, or the identical-width portable fallback). Lanes
+/// retire independently under a mask: early-out opacity termination and
+/// ray exit drop a lane without disturbing the others, and when packet
+/// coherence breaks at brick boundaries the corner fetches fall back from
+/// one shared gather base to per-lane loads. Colors come from the
+/// precomputed `lut`, whose baked step size must match `params.step_size`.
+/// Sample positions are the reference path's (t_k = t_entry + k*step with
+/// global k), so the two agree to LUT precision on the same residency set.
 ///
 /// `mask` (optional) enables importance-masked adaptive sampling: blocks
 /// with stride s > 1 are sampled at every s-th position of the global
 /// sample lattice, with the LUT's baked opacity correction rescaled
 /// exactly for the longer effective step (alpha' = 1-(1-alpha)^s, a
 /// closed-form polynomial for s in {2, 4}). Strides outside {1, 2, 4} are
-/// rejected. At full rate (null or all-ones mask) the image matches the
-/// block-coherent path to vector-FP precision and the golden tests bound
-/// it against the scalar oracle at the usual 1e-3/channel; under adaptive
+/// rejected. At full rate (null or all-ones mask) the golden tests bound
+/// the image against the scalar oracle at 1e-3/channel; under adaptive
 /// sampling the documented looser bound applies (see DESIGN.md).
 ///
-/// Thread-safety: same contract as the other overloads.
+/// Thread-safety: same contract as the reference overload;
+/// `bricks.brick()` is called concurrently from render workers.
 Image raycast_packet(const Camera& camera, const BrickSampler& bricks,
                      const TransferFunctionLUT& lut,
                      const RaycastParams& params, ThreadPool* pool = nullptr,

@@ -10,9 +10,9 @@
 #include "render/raycaster.hpp"
 #include "util/thread_pool.hpp"
 
-/// Camera/ray plumbing shared by the three raycast implementations
-/// (scalar reference, block-coherent DDA, SIMD ray packets). Internal to
-/// src/render — not part of the public render API.
+/// Camera/ray plumbing shared by the two raycast implementations (scalar
+/// reference, SIMD ray packets). Internal to src/render — not part of the
+/// public render API.
 
 namespace vizcache::render_detail {
 

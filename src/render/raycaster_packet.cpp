@@ -1,11 +1,11 @@
-// SIMD ray-packet render path: 8 coherent rays per packet through the
+// SIMD ray-packet render path: 8 coherent rays per packet through a
 // block-coherent 3D-DDA traversal (see raycast_packet in raycaster.hpp).
 //
 // Division of labor:
 //  - per-lane SEGMENT bookkeeping (DDA stepping, residency, segment sample
-//    bounds) is scalar double-precision code mirroring the block-coherent
-//    path expression-for-expression, so segment boundaries, sample counts,
-//    and non-resident skip counts are bit-identical to it;
+//    bounds) is scalar double-precision code, so segment boundaries, sample
+//    counts, and non-resident skip counts do not depend on the lane width
+//    or on which lanes share a packet;
 //  - the per-SAMPLE inner loop (trilinear fetch, transfer-function LUT
 //    lookup, front-to-back compositing) runs across all lanes at once
 //    through util/simd.hpp, with per-lane masks retiring lanes on early-out
@@ -23,6 +23,10 @@
 // scope arrays that persist across runs: a segment refill touches only the
 // lane that changed, and a run restart costs one batch of vector loads
 // instead of rebuilding every lane.
+//
+// viz_render compiles with -ffp-contract=off (src/render/CMakeLists.txt):
+// scalar a*b+c here is never fused; only simd::fmadd fuses, alike in the
+// AVX2 and the portable build.
 
 #include <algorithm>
 #include <bit>
@@ -47,8 +51,7 @@ using render_detail::RayFrame;
 
 constexpr int kL = sd::kLanes;
 
-/// Per-ray state of one packet lane. Segment fields mirror the scalar
-/// block-coherent path's locals exactly; see advance_segment().
+/// Per-ray state of one packet lane; see advance_segment().
 struct Lane {
   enum class Phase : u8 {
     kRetired,      ///< no ray, ray exited, or opacity-terminated
@@ -78,9 +81,10 @@ struct Lane {
 
 /// Scalar per-lane DDA advance: walk blocks from the lane's current
 /// position until a resident segment with samples is found (-> kSampling)
-/// or the ray is exhausted (-> kRetired). Mirrors the segment logic of the
-/// block-coherent raycast overload expression-for-expression so `k_end`
-/// sequences and skip counts are bit-identical to it.
+/// or the ray is exhausted (-> kRetired). Sample positions are indexed
+/// globally (t_k = t_entry + k*step), so a skipped segment advances k
+/// without perturbing the positions of later samples — they stay the
+/// reference path's.
 void advance_segment(Lane& ln, const BlockGrid& grid,
                      const BrickSampler& bricks, const SamplingMask* mask,
                      const Vec3& eye, double step, const Dims3& gdims,
@@ -92,8 +96,9 @@ void advance_segment(Lane& ln, const BlockGrid& grid,
       return;
     }
     if (ln.id == kInvalidBlock) {
-      // (Re-)anchor the DDA at the current sample (ray entry only; see the
-      // block-coherent path).
+      // (Re-)anchor the DDA at the current sample. Only needed at ray
+      // entry, where the sample can sit on a volume face and land a ulp
+      // outside; every later segment is reached by coordinate stepping.
       ln.id = grid.block_at_normalized(eye + ln.dir * t);
       if (ln.id == kInvalidBlock) {
         ++ln.k;
@@ -105,6 +110,8 @@ void advance_segment(Lane& ln, const BlockGrid& grid,
       ln.cz = static_cast<i64>(c.bz);
     }
 
+    // Exit distance of the current block along the ray, and which axis the
+    // ray leaves through.
     const AABB box = grid.block_bounds(ln.id);
     const double lo[3] = {box.lo.x, box.lo.y, box.lo.z};
     const double hi[3] = {box.hi.x, box.hi.y, box.hi.z};
@@ -144,8 +151,8 @@ void advance_segment(Lane& ln, const BlockGrid& grid,
       return;
     }
     if (!view.resident() && k_end > ln.k) {
-      // O(1) non-resident skip, counted so packet and block-coherent skip
-      // totals agree exactly.
+      // O(1) non-resident skip: jump to the first sample index at or
+      // beyond the segment end, and count the positions jumped over.
       rs.skipped += k_end - ln.k;
       ln.k = k_end;
     }
@@ -270,8 +277,9 @@ Image raycast_packet(const Camera& camera, const BrickSampler& bricks,
 
       // Refill lane l's packet slots for its freshly advanced segment:
       // voxel coordinates re-anchored from the double-precision affine form
-      // at the lane's current sample (exactly the scalar fast path's
-      // per-segment re-anchor), window clamps, strides, and gather base.
+      // s(t) = va + t*vb at the lane's current sample (so float stepping
+      // drifts by at most one segment, ~1e-5 voxel), window clamps,
+      // strides, and gather base.
       auto fill_lane = [&](int l) {
         const Lane& ln = lanes[l];
         const double t0 = ln.t_entry + static_cast<double>(ln.k) * step;
@@ -503,8 +511,9 @@ Image raycast_packet(const Camera& camera, const BrickSampler& bricks,
               sd::Vf c00, c10, c01, c11;
               {
                 // Mixed bricks: truncate-and-clamp both integer corners
-                // into each lane's own window, exactly like the scalar
-                // fast path.
+                // into each lane's own window. Truncation matches floor
+                // inside the volume (s >= 0); where both corners clamp to
+                // one voxel the fraction cancels out.
                 const sd::Vi ix = sd::to_int(sx);
                 const sd::Vi iy = sd::to_int(sy);
                 const sd::Vi iz = sd::to_int(sz);

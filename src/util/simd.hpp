@@ -1,6 +1,7 @@
 #pragma once
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 
@@ -21,8 +22,8 @@
 /// The width is a compile-time constant in BOTH implementations, and the
 /// fallback reproduces the native conversion semantics (truncating
 /// float->int with INT32_MIN for out-of-range/NaN inputs, IEEE single
-/// arithmetic), so callers, tests, and golden images are identical
-/// regardless of which implementation is active.
+/// arithmetic, fmadd rounded once), so callers, tests, and golden images
+/// are identical regardless of which implementation is active.
 ///
 /// ODR rule: include this header only from .cpp files (or test TUs built
 /// with the same flags) — never from another public header. The lane types
@@ -86,10 +87,10 @@ inline Vi iand(Vi a, Vi b) { return {_mm256_and_si256(a.v, b.v)}; }
 inline Vi to_int(Vf a) { return {_mm256_cvttps_epi32(a.v)}; }
 inline Vf to_float(Vi a) { return {_mm256_cvtepi32_ps(a.v)}; }
 
-/// a*b + c, fused. The scalar render paths get FMA contraction from the
-/// compiler (-ffp-contract on by default); explicit intrinsics do not, so
-/// the packet path must ask for it — both for speed and so its rounding
-/// tracks the scalar fast path's.
+/// a*b + c, fused (rounded once). The packet raycaster compiles with
+/// -ffp-contract=off, so this is where its multiply-adds fuse, in both
+/// implementations. vizcache_simd pairs -mavx2 with -mfma; the unfused
+/// branch exists only for a TU built with -mavx2 alone.
 inline Vf fmadd(Vf a, Vf b, Vf c) {
 #if defined(__FMA__)
   return {_mm256_fmadd_ps(a.v, b.v, c.v)};
@@ -423,12 +424,14 @@ inline VfPair gather_pairs(const float* base, Vi idx) {
   return r;
 }
 
-/// a*b + c. Written as one expression so the compiler may contract it to a
-/// scalar fma, matching what it does to the scalar render paths.
+/// a*b + c, rounded once per lane like the native _mm256_fmadd_ps, so the
+/// two implementations agree bit for bit. Without FMA instructions
+/// std::fma is a software routine: the portable build trades speed for
+/// identical results.
 inline Vf fmadd(Vf a, Vf b, Vf c) {
   Vf r;
   for (int l = 0; l < kLanes; ++l)
-    r.lane[l] = a.lane[l] * b.lane[l] + c.lane[l];
+    r.lane[l] = std::fma(a.lane[l], b.lane[l], c.lane[l]);
   return r;
 }
 
@@ -444,7 +447,7 @@ inline bool any(Mask m) { return bits(m) != 0; }
 inline int count(Mask m) { return std::popcount(bits(m)); }
 
 /// a + (b - a) * t per lane — the lerp shape both trilinear sampling and
-/// the LUT lookup use, fused like the compiler fuses the scalar paths'.
+/// the LUT lookup use, with the multiply-add fused.
 inline Vf lerp(Vf a, Vf b, Vf t) { return fmadd(sub(b, a), t, a); }
 
 }  // namespace vizcache::simd

@@ -1,31 +1,22 @@
 #include "volume/octree.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/error.hpp"
 
 namespace vizcache {
 
-BlockOctree BlockOctree::build(const BlockGrid& grid,
-                               const BlockMetadataTable* metadata, usize var) {
-  if (metadata) {
-    VIZ_REQUIRE(metadata->block_count() == grid.block_count(),
-                "metadata/grid block count mismatch");
-    VIZ_REQUIRE(var < metadata->variable_count(), "variable out of range");
-  }
+BlockOctree BlockOctree::build(const BlockGrid& grid) {
   BlockOctree tree;
-  tree.has_values_ = metadata != nullptr;
   const Dims3& g = grid.grid_dims();
   tree.nodes_.reserve(grid.block_count() * 2);
-  tree.build_node(grid, metadata, var, 0, 0, 0, g.x, g.y, g.z, 1);
+  tree.build_node(grid, 0, 0, 0, g.x, g.y, g.z, 1);
   return tree;
 }
 
-i64 BlockOctree::build_node(const BlockGrid& grid,
-                            const BlockMetadataTable* metadata, usize var,
-                            usize x0, usize y0, usize z0, usize x1, usize y1,
-                            usize z1, usize depth) {
+i64 BlockOctree::build_node(const BlockGrid& grid, usize x0, usize y0,
+                            usize z0, usize x1, usize y1, usize z1,
+                            usize depth) {
   if (x0 >= x1 || y0 >= y1 || z0 >= z1) return -1;  // empty octant
   height_ = std::max(height_, depth);
 
@@ -39,11 +30,6 @@ i64 BlockOctree::build_node(const BlockGrid& grid,
     leaf.bounds = grid.block_bounds(leaf.block);
     leaf.sphere_center = leaf.bounds.center();
     leaf.sphere_radius = leaf.bounds.diagonal() * 0.5;
-    if (metadata) {
-      const auto& e = metadata->entry(leaf.block, var);
-      leaf.min_value = e.min;
-      leaf.max_value = e.max;
-    }
     ++leaves_;
     return index;
   }
@@ -63,21 +49,17 @@ i64 BlockOctree::build_node(const BlockGrid& grid,
 
   AABB bounds;
   bool first = true;
-  float mn = std::numeric_limits<float>::infinity();
-  float mx = -std::numeric_limits<float>::infinity();
   usize child_slot = 0;
   for (usize cz = 0; cz < 2; ++cz) {
     for (usize cy = 0; cy < 2; ++cy) {
       for (usize cx = 0; cx < 2; ++cx) {
-        i64 child = build_node(grid, metadata, var, xs[cx], ys[cy], zs[cz],
-                               xs[cx + 1], ys[cy + 1], zs[cz + 1], depth + 1);
+        i64 child = build_node(grid, xs[cx], ys[cy], zs[cz], xs[cx + 1],
+                               ys[cy + 1], zs[cz + 1], depth + 1);
         nodes_[static_cast<usize>(index)].children[child_slot++] = child;
         if (child >= 0) {
           const Node& c = nodes_[static_cast<usize>(child)];
           bounds = first ? c.bounds : bounds.united(c.bounds);
           first = false;
-          mn = std::min(mn, c.min_value);
-          mx = std::max(mx, c.max_value);
         }
       }
     }
@@ -88,28 +70,26 @@ i64 BlockOctree::build_node(const BlockGrid& grid,
   node.bounds = bounds;
   node.sphere_center = bounds.center();
   node.sphere_radius = bounds.diagonal() * 0.5;
-  node.min_value = mn;
-  node.max_value = mx;
   return index;
 }
 
-template <typename NodeFilter, typename LeafFilter>
-void BlockOctree::traverse(i64 node, const NodeFilter& node_ok,
-                           const LeafFilter& leaf_ok,
+void BlockOctree::traverse(i64 node, const ConeFrustum& frustum,
                            std::vector<BlockId>& out, usize& visits) const {
   if (node < 0) return;
   ++visits;
   const Node& n = nodes_[static_cast<usize>(node)];
-  if (!node_ok(n)) return;
+  // Conservative sphere cull for interior pruning.
+  if (!frustum.may_intersect_sphere(n.sphere_center, n.sphere_radius)) return;
   if (n.leaf) {
+    // Exact per-block test so results match the exhaustive scan.
     // analyze: allow(hot-path-alloc): the frustum collector grows once per
     // visible leaf per frame (not per pixel); the caller owns sizing and
     // amortization of the returned set.
-    if (leaf_ok(n)) out.push_back(n.block);
+    if (frustum.intersects_block(n.bounds)) out.push_back(n.block);
     return;
   }
   for (i64 child : n.children) {
-    traverse(child, node_ok, leaf_ok, out, visits);
+    traverse(child, frustum, out, visits);
   }
 }
 
@@ -117,50 +97,8 @@ std::vector<BlockId> BlockOctree::query_frustum(
     const ConeFrustum& frustum) const {
   std::vector<BlockId> out;
   if (nodes_.empty()) return out;
-  auto node_ok = [&](const Node& n) {
-    // Conservative sphere cull for interior pruning.
-    return frustum.may_intersect_sphere(n.sphere_center, n.sphere_radius);
-  };
-  auto leaf_ok = [&](const Node& n) {
-    // Exact per-block test so results match the exhaustive scan.
-    return frustum.intersects_block(n.bounds);
-  };
   usize visits = 0;
-  traverse(0, node_ok, leaf_ok, out, visits);
-  last_visits_.store(visits, std::memory_order_relaxed);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<BlockId> BlockOctree::query_frustum_range(
-    const ConeFrustum& frustum, float lo, float hi) const {
-  VIZ_REQUIRE(has_values_, "octree built without metadata");
-  VIZ_REQUIRE(lo <= hi, "inverted value range");
-  std::vector<BlockId> out;
-  if (nodes_.empty()) return out;
-  auto node_ok = [&](const Node& n) {
-    if (n.min_value > hi || n.max_value < lo) return false;
-    return frustum.may_intersect_sphere(n.sphere_center, n.sphere_radius);
-  };
-  auto leaf_ok = [&](const Node& n) { return frustum.intersects_block(n.bounds); };
-  usize visits = 0;
-  traverse(0, node_ok, leaf_ok, out, visits);
-  last_visits_.store(visits, std::memory_order_relaxed);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<BlockId> BlockOctree::query_range(float lo, float hi) const {
-  VIZ_REQUIRE(has_values_, "octree built without metadata");
-  VIZ_REQUIRE(lo <= hi, "inverted value range");
-  std::vector<BlockId> out;
-  if (nodes_.empty()) return out;
-  auto node_ok = [&](const Node& n) {
-    return n.min_value <= hi && n.max_value >= lo;
-  };
-  auto leaf_ok = [&](const Node&) { return true; };
-  usize visits = 0;
-  traverse(0, node_ok, leaf_ok, out, visits);
+  traverse(0, frustum, out, visits);
   last_visits_.store(visits, std::memory_order_relaxed);
   std::sort(out.begin(), out.end());
   return out;

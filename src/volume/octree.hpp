@@ -5,17 +5,14 @@
 
 #include "geom/frustum.hpp"
 #include "volume/block_grid.hpp"
-#include "volume/block_metadata.hpp"
 
 namespace vizcache {
 
-/// Min/max octree over a block grid — the hierarchical index of the
-/// out-of-core literature the paper builds on (Ueng et al.'s octree
-/// partition, Sutton & Hansen's branch-on-need T-BON, Section II). Interior
-/// nodes carry the bounding box, a bounding sphere for conservative view
-/// culling, and the min/max value interval of their subtree, so both
-/// view-dependent (frustum) and data-dependent (value range) queries prune
-/// whole subtrees instead of scanning every block.
+/// Bounding-volume octree over a block grid — the hierarchical index of
+/// the out-of-core literature the paper builds on (Ueng et al.'s octree
+/// partition, Section II). Every node carries its bounding box and a
+/// bounding sphere, so a view-cone query prunes whole subtrees with a
+/// conservative sphere test instead of testing every block.
 ///
 /// Thread-safety: const-thread-safe. The tree is immutable after build(), so
 /// any number of threads may query concurrently; the only mutable member is
@@ -23,24 +20,19 @@ namespace vizcache {
 /// external synchronization against concurrent queries.
 class BlockOctree {
  public:
-  /// Build over `grid`; `metadata` (optional) supplies per-block min/max of
-  /// variable `var` for range queries. Branch-on-need: child octants that
-  /// contain no blocks are not allocated.
-  static BlockOctree build(const BlockGrid& grid,
-                           const BlockMetadataTable* metadata = nullptr,
-                           usize var = 0);
+  /// Build over `grid`. Branch-on-need (as in Sutton & Hansen's T-BON):
+  /// child octants that contain no blocks are not allocated.
+  static BlockOctree build(const BlockGrid& grid);
 
   BlockOctree() = default;
   // Moves must be spelled out because of the atomic diagnostics counter.
   BlockOctree(BlockOctree&& o) noexcept
       : nodes_(std::move(o.nodes_)),
-        has_values_(o.has_values_),
         leaves_(o.leaves_),
         height_(o.height_),
         last_visits_(o.last_visits_.load()) {}
   BlockOctree& operator=(BlockOctree&& o) noexcept {
     nodes_ = std::move(o.nodes_);
-    has_values_ = o.has_values_;
     leaves_ = o.leaves_;
     height_ = o.height_;
     last_visits_.store(o.last_visits_.load());
@@ -51,18 +43,9 @@ class BlockOctree {
   usize leaf_count() const { return leaves_; }
   usize height() const { return height_; }
 
-  /// Blocks whose AABB intersects the view cone; identical result to the
-  /// exhaustive per-block scan (BlockBoundsIndex::visible_blocks), ids
-  /// ascending.
+  /// Blocks whose AABB intersects the view cone, ids ascending: exactly
+  /// the blocks `ConeFrustum::intersects_block` keeps in a per-block scan.
   std::vector<BlockId> query_frustum(const ConeFrustum& frustum) const;
-
-  /// Blocks intersecting the cone whose value interval intersects
-  /// [lo, hi]. Requires metadata at build time.
-  std::vector<BlockId> query_frustum_range(const ConeFrustum& frustum,
-                                           float lo, float hi) const;
-
-  /// Blocks whose value interval intersects [lo, hi] (no view test).
-  std::vector<BlockId> query_range(float lo, float hi) const;
 
   /// Number of node visits of the last query (diagnostics: shows the
   /// pruning factor vs block_count scans). Atomic so concurrent queries on
@@ -74,23 +57,18 @@ class BlockOctree {
     AABB bounds;
     Vec3 sphere_center;
     double sphere_radius = 0.0;
-    float min_value = 0.0f;
-    float max_value = 0.0f;
     i64 children[8] = {-1, -1, -1, -1, -1, -1, -1, -1};
     BlockId block = kInvalidBlock;  ///< leaf payload
     bool leaf = false;
   };
 
-  i64 build_node(const BlockGrid& grid, const BlockMetadataTable* metadata,
-                 usize var, usize x0, usize y0, usize z0, usize x1, usize y1,
-                 usize z1, usize depth);
+  i64 build_node(const BlockGrid& grid, usize x0, usize y0, usize z0,
+                 usize x1, usize y1, usize z1, usize depth);
 
-  template <typename NodeFilter, typename LeafFilter>
-  void traverse(i64 node, const NodeFilter& node_ok, const LeafFilter& leaf_ok,
+  void traverse(i64 node, const ConeFrustum& frustum,
                 std::vector<BlockId>& out, usize& visits) const;
 
   std::vector<Node> nodes_;
-  bool has_values_ = false;
   usize leaves_ = 0;
   usize height_ = 0;
   mutable std::atomic<usize> last_visits_{0};

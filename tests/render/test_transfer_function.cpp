@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "util/error.hpp"
 
 namespace vizcache {
@@ -75,6 +77,36 @@ TEST(TransferFunction, IsoBandRejectsInvertedRange) {
 TEST(TransferFunction, EmptyPointsThrow) {
   EXPECT_THROW(TransferFunction(std::vector<TransferFunction::ControlPoint>{}),
                InvalidArgument);
+}
+
+TEST(TransferFunctionLUT, ExactAtNodesPremultiplied) {
+  const TransferFunction tf = TransferFunction::fire();
+  const double step = 0.01;
+  const TransferFunctionLUT lut(tf, step, 256);
+  for (usize i = 0; i <= 256; ++i) {
+    const float v = static_cast<float>(i) / 256.0f;
+    const Rgba c = tf.sample(v);
+    const float ac =
+        1.0f - std::pow(1.0f - c.a, static_cast<float>(step * 10.0));
+    const TransferFunctionLUT::Entry e = lut.sample(v);
+    EXPECT_NEAR(e.a, ac, 1e-6f);
+    EXPECT_NEAR(e.r, c.r * ac, 1e-6f);
+    EXPECT_NEAR(e.g, c.g * ac, 1e-6f);
+    EXPECT_NEAR(e.b, c.b * ac, 1e-6f);
+  }
+}
+
+TEST(TransferFunctionLUT, ClampsOutOfRangeAndValidates) {
+  const TransferFunction tf = TransferFunction::grayscale();
+  const TransferFunctionLUT lut(tf, 0.02);
+  const auto lo = lut.sample(-5.0f);
+  const auto lo2 = lut.sample(0.0f);
+  EXPECT_FLOAT_EQ(lo.a, lo2.a);
+  const auto hi = lut.sample(5.0f);
+  const auto hi2 = lut.sample(1.0f);
+  EXPECT_FLOAT_EQ(hi.a, hi2.a);
+  EXPECT_THROW(TransferFunctionLUT(tf, 0.0), InvalidArgument);
+  EXPECT_THROW(TransferFunctionLUT(tf, 0.02, 0), InvalidArgument);
 }
 
 }  // namespace

@@ -241,10 +241,23 @@ TEST(Simd, LerpMatchesScalarExpression) {
   alignas(32) float got[kL];
   sd::store(got, sd::lerp(sd::load(a_a), sd::load(b_a), sd::load(t_a)));
   for (int l = 0; l < kL; ++l) {
-    // Same shape as the scalar path: a + (b - a) * t, evaluated in IEEE
-    // single precision — bit-equal, not just close.
-    EXPECT_EQ(got[l], a_a[l] + (b_a[l] - a_a[l]) * t_a[l]) << "lane " << l;
+    // a + (b - a) * t with the multiply-add rounded once, in IEEE single
+    // precision — bit-equal, not just close.
+    EXPECT_EQ(got[l], std::fma(b_a[l] - a_a[l], t_a[l], a_a[l]))
+        << "lane " << l;
   }
+}
+
+TEST(Simd, FmaddRoundsOnceInBothBuilds) {
+  // (1 + 2^-12)^2 = 1 + 2^-11 + 2^-24 needs 25 mantissa bits: a separate
+  // multiply rounds the 2^-24 away and the add then yields 0, a fused
+  // multiply-add keeps it. Both implementations must fuse, or the AVX2 and
+  // the portable build render different images.
+  const float a = 1.0f + std::ldexp(1.0f, -12);
+  const float c = -(1.0f + std::ldexp(1.0f, -11));
+  const float w = std::ldexp(1.0f, -24);
+  const float want[kL] = {w, w, w, w, w, w, w, w};
+  expect_lanes(sd::fmadd(sd::set1(a), sd::set1(a), sd::set1(c)), want);
 }
 
 }  // namespace

@@ -2,23 +2,28 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <vector>
 
-#include "core/visibility.hpp"
-#include "util/error.hpp"
+#include "geom/spherical.hpp"
 #include "util/rng.hpp"
-#include "volume/generators.hpp"
 
 namespace vizcache {
 namespace {
 
 struct OctreeWorld {
-  SyntheticVolume volume = make_flame_volume("f", {48, 40, 32});
   BlockGrid grid{{48, 40, 32}, {8, 8, 8}};
-  SyntheticBlockStore store{volume, {8, 8, 8}};
-  BlockMetadataTable metadata = BlockMetadataTable::build(store);
-  BlockOctree tree = BlockOctree::build(grid, &metadata);
+  BlockOctree tree = BlockOctree::build(grid);
 };
+
+/// The oracle: every block id whose bounds intersect the cone, ascending.
+std::vector<BlockId> scan_visible(const BlockGrid& grid, const Camera& cam) {
+  const ConeFrustum frustum(cam);
+  std::vector<BlockId> out;
+  for (BlockId id = 0; id < grid.block_count(); ++id) {
+    if (frustum.intersects_block(grid.block_bounds(id))) out.push_back(id);
+  }
+  return out;
+}
 
 TEST(BlockOctree, LeafPerBlock) {
   OctreeWorld w;
@@ -29,18 +34,23 @@ TEST(BlockOctree, LeafPerBlock) {
 
 TEST(BlockOctree, FrustumQueryMatchesBruteForceExactly) {
   // The headline property: hierarchical culling never changes the result.
-  OctreeWorld w;
-  BlockBoundsIndex brute(w.grid);
+  // Power-of-two, odd-split and deep grids, each against a per-block scan.
+  const BlockGrid grids[] = {BlockGrid({48, 40, 32}, {8, 8, 8}),
+                             BlockGrid({25, 15, 10}, {5, 5, 5}),
+                             BlockGrid({130, 130, 130}, {10, 10, 10})};
   Rng rng(7);
-  for (int i = 0; i < 150; ++i) {
-    Vec3 pos = direction_from_angles(rng.uniform(0.05, 3.09),
-                                     rng.uniform(0.0, 6.28)) *
-               rng.uniform(2.0, 4.0);
-    double angle = rng.uniform(5.0, 60.0);
-    Camera cam(pos, angle);
-    auto expected = brute.visible_blocks(cam);
-    auto got = w.tree.query_frustum(ConeFrustum(cam));
-    ASSERT_EQ(got, expected) << "camera " << i << " angle " << angle;
+  for (const BlockGrid& grid : grids) {
+    const BlockOctree tree = BlockOctree::build(grid);
+    for (int i = 0; i < 300; ++i) {
+      Vec3 pos = direction_from_angles(rng.uniform(0.05, 3.09),
+                                       rng.uniform(0.0, 6.28)) *
+                 rng.uniform(2.0, 4.0);
+      double angle = rng.uniform(5.0, 60.0);
+      Camera cam(pos, angle);
+      ASSERT_EQ(tree.query_frustum(ConeFrustum(cam)), scan_visible(grid, cam))
+          << grid.block_count() << " blocks, camera " << i << " angle "
+          << angle;
+    }
   }
 }
 
@@ -58,55 +68,13 @@ TEST(BlockOctree, FrustumQueryPrunes) {
   EXPECT_LT(narrow_visits, w.tree.node_count());
 }
 
-TEST(BlockOctree, RangeQueryMatchesMetadataScan) {
-  OctreeWorld w;
-  for (auto [lo, hi] : {std::pair{0.45f, 0.55f}, std::pair{0.9f, 1.0f},
-                        std::pair{-1.0f, 2.0f}}) {
-    auto expected = w.metadata.blocks_in_range(0, lo, hi);
-    auto got = w.tree.query_range(lo, hi);
-    EXPECT_EQ(got, expected);
-  }
-}
-
-TEST(BlockOctree, FrustumRangeIsIntersection) {
-  OctreeWorld w;
-  Camera cam({3, 0.5, 0}, 25.0);
-  ConeFrustum f(cam);
-  auto view = w.tree.query_frustum(f);
-  auto range = w.tree.query_range(0.4f, 0.6f);
-  auto both = w.tree.query_frustum_range(f, 0.4f, 0.6f);
-  std::vector<BlockId> expected;
-  std::set_intersection(view.begin(), view.end(), range.begin(), range.end(),
-                        std::back_inserter(expected));
-  EXPECT_EQ(both, expected);
-}
-
-TEST(BlockOctree, RangePruningVisitsFewerNodes) {
-  OctreeWorld w;
-  w.tree.query_range(-100.0f, 100.0f);
-  usize all_visits = w.tree.last_visits();
-  w.tree.query_range(0.999f, 1.0f);  // only flame-core blocks
-  EXPECT_LT(w.tree.last_visits(), all_visits);
-}
-
-TEST(BlockOctree, WithoutMetadataRangeThrows) {
-  BlockGrid grid({16, 16, 16}, {8, 8, 8});
-  BlockOctree tree = BlockOctree::build(grid);
-  EXPECT_THROW(tree.query_range(0.0f, 1.0f), InvalidArgument);
-  // But frustum queries work.
-  Camera cam({3, 0, 0}, 30.0);
-  EXPECT_FALSE(tree.query_frustum(ConeFrustum(cam)).empty());
-}
-
 TEST(BlockOctree, NonPowerOfTwoGrids) {
   // 5x3x2 block grid: branch-on-need must handle odd splits.
   BlockGrid grid({25, 15, 10}, {5, 5, 5});
   BlockOctree tree = BlockOctree::build(grid);
   EXPECT_EQ(tree.leaf_count(), grid.block_count());
-  BlockBoundsIndex brute(grid);
   Camera cam({2.5, 1.0, -0.5}, 40.0);
-  EXPECT_EQ(tree.query_frustum(ConeFrustum(cam)),
-            brute.visible_blocks(cam));
+  EXPECT_EQ(tree.query_frustum(ConeFrustum(cam)), scan_visible(grid, cam));
 }
 
 TEST(BlockOctree, SingleBlockGrid) {
@@ -118,14 +86,6 @@ TEST(BlockOctree, SingleBlockGrid) {
   auto vis = tree.query_frustum(ConeFrustum(cam));
   ASSERT_EQ(vis.size(), 1u);
   EXPECT_EQ(vis[0], 0u);
-}
-
-TEST(BlockOctree, InvalidRangeThrows) {
-  OctreeWorld w;
-  EXPECT_THROW(w.tree.query_range(1.0f, 0.0f), InvalidArgument);
-  Camera cam({3, 0, 0}, 30.0);
-  EXPECT_THROW(w.tree.query_frustum_range(ConeFrustum(cam), 1.0f, 0.0f),
-               InvalidArgument);
 }
 
 TEST(ConeFrustumSphere, ConservativeNoFalseNegatives) {

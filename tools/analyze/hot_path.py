@@ -49,7 +49,9 @@ DEFAULT_CHECKS = ("hot-path-alloc", "hot-path-io", "hot-path-throw",
 DEFAULT_REGISTRY = {
     "entries": [
         {"function": "raycast",
-         "why": "per-pixel brick sampling inner loop (fig-13 latency)"},
+         "why": "scalar reference render path, the golden oracle of "
+                "raycast_packet: its per-sample sampler loop stays as "
+                "clean as the path it checks"},
         {"function": "raycast_packet",
          "why": "SIMD packet render path: per-sample vector loop plus the "
                 "per-lane scalar segment walk"},
