@@ -1,6 +1,5 @@
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -12,38 +11,6 @@
 #include "util/table_printer.hpp"
 
 namespace vizcache::bench {
-
-/// Minimal insertion-ordered JSON emitter for the machine-readable
-/// `BENCH_*.json` perf-trajectory files. Covers exactly what the bench
-/// binaries need — flat or nested objects of numbers/strings/bools — so the
-/// repo does not grow a JSON-library dependency. Keys keep insertion order
-/// so diffs between runs stay line-stable.
-class JsonObject {
- public:
-  JsonObject();
-  ~JsonObject();
-  JsonObject(JsonObject&&) noexcept;
-  JsonObject& operator=(JsonObject&&) noexcept;
-  JsonObject(const JsonObject&) = delete;
-  JsonObject& operator=(const JsonObject&) = delete;
-
-  JsonObject& number(const std::string& key, double value);
-  JsonObject& integer(const std::string& key, i64 value);
-  JsonObject& boolean(const std::string& key, bool value);
-  JsonObject& string(const std::string& key, const std::string& value);
-  JsonObject& object(const std::string& key, JsonObject value);
-
-  /// Pretty-printed JSON text (2-space indent), no trailing newline.
-  std::string to_string() const;
-
-  /// Writes to_string() + '\n' to `path`; throws IoError on failure.
-  void write(const std::string& path) const;
-
- private:
-  struct Entry;
-  std::string render(usize depth) const;
-  std::vector<Entry> entries_;
-};
 
 /// Shared bench-binary environment. Every binary accepts `key=value`
 /// overrides:
@@ -69,15 +36,10 @@ struct BenchEnv {
   void banner(const std::string& what) const;
 };
 
-/// A registry snapshot as a nested JsonObject: {"counters": {...},
-/// "gauges": {...}, "histograms": {name: {count, sum, min, max,
-/// "buckets": {"le_<bound>": n, ..., "le_inf": n}}}}. Names are already
-/// sorted in the snapshot, so output is diff-stable.
-JsonObject metrics_snapshot_json(const MetricsSnapshot& snapshot);
-
 /// Write a run's observability artifacts: `<stem>.trace.json` (Chrome
 /// trace-event JSON, load via chrome://tracing or ui.perfetto.dev) and
-/// `<stem>.metrics.json` (metrics_snapshot_json). Prints where they landed.
+/// `<stem>.metrics.json` (MetricsSnapshot::write_json). Prints where they
+/// landed.
 void write_observability(const std::string& stem, const StepTimeline& timeline,
                          const MetricsSnapshot& snapshot);
 

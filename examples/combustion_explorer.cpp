@@ -1,8 +1,8 @@
 // Combustion explorer: a *live* out-of-core viewer loop over disk bricks.
 //
 // This is the view-dependent workload of the paper's Fig. 1 driven for
-// real: the combustion stand-in dataset is written as raw bricks to disk
-// (the "slow memory"), a camera orbits it, and each frame
+// real: the combustion stand-in dataset is written to disk as a packed brick
+// file (the "slow memory"), a camera orbits it, and each frame
 //   1. demand-loads the visible bricks (hits come from earlier prefetches),
 //   2. starts the async prefetch of the predicted next view (T_visible +
 //      entropy filter), and
@@ -31,7 +31,7 @@
 #include "util/config.hpp"
 #include "util/table_printer.hpp"
 #include "util/timer.hpp"
-#include "volume/file_block_store.hpp"
+#include "volume/packed_block_store.hpp"
 
 using namespace vizcache;
 
@@ -71,13 +71,16 @@ int main(int argc, char** argv) {
   usize image = static_cast<usize>(cfg.get_int("image", 160));
 
   // --- One-time pre-processing (paper Steps 1 & 2) -----------------------
-  std::cout << "[1/3] writing combustion bricks under " << dir << " ...\n";
+  const std::string store_path = dir + "/lifted_mix_frac.vzpk";
+  std::cout << "[1/3] writing combustion bricks to " << store_path
+            << " ...\n";
   fs::remove_all(dir);
   fs::create_directories(dir);
   SyntheticVolume flame =
       make_flame_volume("lifted_mix_frac", {size, size, size});
   Dims3 brick{size / 4, size / 4, size / 4};
-  FileBlockStore store = FileBlockStore::write_store(dir, flame, brick);
+  PackedFileBlockStore store =
+      PackedFileBlockStore::write_store(store_path, flame, brick);
   const BlockGrid& grid = store.grid();
 
   std::cout << "[2/3] building T_important and T_visible ...\n";

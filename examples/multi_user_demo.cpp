@@ -11,6 +11,10 @@
 //   - admission control: prefetch beyond each viewer's fair share of the
 //     aggregate budget is shed, demand fetches never are.
 //
+// At exit it writes the service's metrics snapshot to
+// multi_user_demo.metrics.json in the working directory; ctest feeds it to
+// `tools/check_metrics_snapshot.py --service`.
+//
 // Run:  ./multi_user_demo [scale=0.08] [steps=40] [budget_kb=64]
 
 #include <iostream>
@@ -110,5 +114,9 @@ int main(int argc, char** argv) {
                "the free viewers\nstill inherit whatever overlaps their "
                "route. A per-viewer cache of the same\ntotal size would read "
                "every shared block once per viewer instead.\n";
+
+  const std::string metrics_path = "multi_user_demo.metrics.json";
+  service.metrics().snapshot().write_json(metrics_path);
+  std::cout << "metrics      : " << metrics_path << "\n";
   return 0;
 }

@@ -3,10 +3,17 @@
 // in-process. Two viewers follow the same tour so their demand misses
 // coalesce across the wire; a third client misbehaves (garbage frame) to
 // show the typed-error handling — the server answers with an error frame,
-// closes that connection, and keeps serving everyone else.
+// closes that connection, and keeps serving everyone else. A fourth client
+// requests block payloads and never reads the replies: its write queue
+// stalls until backpressure drops the connection.
+//
+// After the server stops it writes the metrics snapshot to
+// net_demo.metrics.json in the working directory; ctest feeds it to
+// `tools/check_metrics_snapshot.py --net`.
 //
 // Run:  ./net_demo [scale=0.08] [steps=12]
 
+#include <chrono>
 #include <iostream>
 #include <thread>
 #include <vector>
@@ -41,7 +48,15 @@ int main(int argc, char** argv) {
   BlockService svc(*grid, bench.make_hierarchy(PolicyKind::kLru), svc_cfg,
                    &bench.table(), &bench.importance());
 
-  NetServer server(svc);
+  // A shallow write queue, a short stall timeout and a small send buffer
+  // let the slow reader below trip backpressure within a fraction of a
+  // second.
+  NetServerConfig net_cfg;
+  net_cfg.workers = 4;
+  net_cfg.max_write_queue_bytes = 128 * 1024;
+  net_cfg.write_stall_timeout_ms = 200;
+  net_cfg.so_sndbuf_bytes = 4 * 1024;
+  NetServer server(svc, net_cfg);
   server.start();
   std::cout << "net_demo: serving on 127.0.0.1:" << server.port() << "\n";
 
@@ -80,6 +95,21 @@ int main(int argc, char** argv) {
   }
   hostile.disconnect();
 
+  // A slow reader: a tiny receive window and 20 FETCHes whose replies it
+  // never reads. The server's write queue stalls and the stall timer drops
+  // the connection; wait for that so the counter is settled.
+  NetClient slow;
+  slow.connect("127.0.0.1", server.port(), /*so_rcvbuf_bytes=*/2048);
+  slow.open();
+  for (usize n = 0; n < 20; ++n) {
+    slow.send_raw(encode_fetch(static_cast<BlockId>(n % 8)));
+  }
+  MetricCounter& dropped = svc.metrics().counter("net.backpressure.closed");
+  for (int spin = 0; spin < 5000 && dropped.value() == 0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  slow.disconnect();
+
   TablePrinter table({"viewer", "steps", "demand", "fast-miss", "coalesced"});
   for (usize v = 0; v < 2; ++v) {
     const SessionSummary& s = summaries[v];
@@ -96,6 +126,11 @@ int main(int argc, char** argv) {
   server.stop();
   std::cout << "coalesced reads across the wire: " << coalesced
             << ", malformed frames rejected: " << malformed
+            << ", slow readers dropped: " << dropped.value()
             << ", sessions still open: " << svc.active_sessions() << "\n";
+
+  const std::string metrics_path = "net_demo.metrics.json";
+  svc.metrics().snapshot().write_json(metrics_path);
+  std::cout << "metrics: " << metrics_path << "\n";
   return 0;
 }

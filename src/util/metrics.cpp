@@ -1,6 +1,11 @@
 #include "util/metrics.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <fstream>
+#include <iomanip>
+#include <sstream>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -120,6 +125,71 @@ const HistogramSnapshot& MetricsSnapshot::histogram(
     if (h.name == name) return h.hist;
   }
   throw InvalidArgument("no such histogram in snapshot: " + name);
+}
+
+namespace {
+
+using JsonEntries = std::vector<std::pair<std::string, std::string>>;
+
+std::string json_number(double v) {
+  if (!std::isfinite(v)) return "null";  // JSON has no NaN/Inf
+  std::ostringstream os;
+  os << std::setprecision(12) << v;
+  return os.str();
+}
+
+/// One JSON object nested `depth` levels deep: an entry per line, indented
+/// two spaces per level, or `{}` when empty. Values are already JSON text.
+std::string json_object(const JsonEntries& entries, usize depth) {
+  if (entries.empty()) return "{}";
+  const std::string pad(2 * (depth + 1), ' ');
+  std::string out = "{";
+  for (usize i = 0; i < entries.size(); ++i) {
+    out += i == 0 ? "\n" : ",\n";
+    out += pad + "\"" + entries[i].first + "\": " + entries[i].second;
+  }
+  out += "\n" + std::string(2 * depth, ' ') + "}";
+  return out;
+}
+
+}  // namespace
+
+void MetricsSnapshot::write_json(const std::string& path) const {
+  JsonEntries counter_entries;
+  for (const CounterValue& c : counters) {
+    counter_entries.emplace_back(c.name, std::to_string(c.value));
+  }
+  JsonEntries gauge_entries;
+  for (const GaugeValue& g : gauges) {
+    gauge_entries.emplace_back(g.name, json_number(g.value));
+  }
+  JsonEntries histogram_entries;
+  for (const HistogramValue& h : histograms) {
+    JsonEntries buckets;
+    for (usize i = 0; i < h.hist.buckets.size(); ++i) {
+      buckets.emplace_back(i < h.hist.bounds.size()
+                               ? "le_" + json_number(h.hist.bounds[i])
+                               : std::string("le_inf"),
+                           std::to_string(h.hist.buckets[i]));
+    }
+    histogram_entries.emplace_back(
+        h.name, json_object({{"count", std::to_string(h.hist.count)},
+                             {"sum", json_number(h.hist.sum)},
+                             {"min", json_number(h.hist.min)},
+                             {"max", json_number(h.hist.max)},
+                             {"buckets", json_object(buckets, 3)}},
+                            2));
+  }
+  const std::string text =
+      json_object({{"counters", json_object(counter_entries, 1)},
+                   {"gauges", json_object(gauge_entries, 1)},
+                   {"histograms", json_object(histogram_entries, 1)}},
+                  0);
+
+  std::ofstream out(path, std::ios::trunc);
+  if (!out) throw IoError("cannot open metrics output for writing: " + path);
+  out << text << "\n";
+  if (!out) throw IoError("metrics write failed: " + path);
 }
 
 MetricCounter& MetricsRegistry::counter(const std::string& name) {

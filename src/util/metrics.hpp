@@ -112,6 +112,13 @@ struct MetricsSnapshot {
   u64 counter(const std::string& name) const;
   double gauge(const std::string& name) const;
   const HistogramSnapshot& histogram(const std::string& name) const;
+
+  /// Writes the snapshot as pretty-printed JSON (2-space indent) + '\n' to
+  /// `path`: {"counters": {...}, "gauges": {...}, "histograms": {name:
+  /// {count, sum, min, max, "buckets": {"le_<bound>": n, ..., "le_inf": n}}}}.
+  /// Non-finite values are written as null. Keys are emitted unescaped, so
+  /// names must be registry names ([a-z0-9._]). Throws IoError on failure.
+  void write_json(const std::string& path) const;
 };
 
 /// Named metrics registry: the pipeline-observability substrate. Components

@@ -91,6 +91,21 @@ PackedFileBlockStore::ParsedHeader PackedFileBlockStore::parse_header(
   in.read(reinterpret_cast<char*>(parsed.offsets.data()),
           static_cast<std::streamsize>(parsed.offsets.size() * sizeof(u64)));
   if (!in) throw IoError("truncated packed store index: " + path);
+  // read_block sizes its payload from the index, and callers index that
+  // payload by the block's voxel extent, so every entry must span exactly
+  // its block. The file size is not checked: a truncated tail fails only
+  // the blocks it cuts, at read time.
+  if (parsed.offsets[0] != 0) {
+    throw IoError("packed store index does not start at 0: " + path);
+  }
+  const BlockGrid& grid = parsed.grid;
+  for (usize i = 0; i < entry_count; ++i) {
+    const BlockId id = static_cast<BlockId>(i % grid.block_count());
+    if (parsed.offsets[i + 1] != parsed.offsets[i] + grid.block_bytes(id)) {
+      throw IoError("corrupt packed store index at entry " +
+                    std::to_string(i) + ": " + path);
+    }
+  }
   parsed.payload_start = static_cast<u64>(in.tellg());
   return parsed;
 }

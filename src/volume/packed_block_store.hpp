@@ -22,7 +22,8 @@ namespace vizcache {
 /// Entry order: (timestep, variable, block) row-major.
 class PackedFileBlockStore final : public BlockStore {
  public:
-  /// Open an existing packed store.
+  /// Open an existing packed store. Throws IoError unless the offset index
+  /// starts at 0 and gives every entry exactly its block's byte size.
   explicit PackedFileBlockStore(const std::string& path);
 
   /// Write `volume` into a packed file at `path`; returns the opened store.

@@ -9,15 +9,15 @@
 #include "core/workbench.hpp"
 #include "render/analytics.hpp"
 #include "render/raycaster.hpp"
-#include "volume/file_block_store.hpp"
+#include "volume/packed_block_store.hpp"
 
 namespace vizcache {
 namespace {
 
 namespace fs = std::filesystem;
 
-/// Full live loop against real disk bricks: build tables, walk a path,
-/// prefetch with real threads, render with the real ray-caster off the
+/// Full live loop against a real packed brick file: build tables, walk a
+/// path, prefetch with real threads, render with the real ray-caster off the
 /// prefetcher's cache, and run the data-dependent analytics — everything
 /// the simulated pipeline models, exercised for real.
 TEST(EndToEnd, LiveOutOfCoreExploration) {
@@ -27,7 +27,8 @@ TEST(EndToEnd, LiveOutOfCoreExploration) {
   fs::create_directories(root);
 
   SyntheticVolume flame = make_flame_volume("e2e", {48, 48, 48});
-  FileBlockStore store = FileBlockStore::write_store(root, flame, {12, 12, 12});
+  PackedFileBlockStore store = PackedFileBlockStore::write_store(
+      root + "/e2e.vzpk", flame, {12, 12, 12});
   const BlockGrid& grid = store.grid();
 
   ImportanceTable importance = ImportanceTable::build(store, 64);

@@ -7,7 +7,6 @@
 
 #include "service/async_prefetcher.hpp"
 #include "util/error.hpp"
-#include "volume/file_block_store.hpp"
 #include "volume/packed_block_store.hpp"
 
 namespace vizcache {
@@ -36,42 +35,48 @@ class FailureInjectionTest : public ::testing::Test {
 
 TEST_F(FailureInjectionTest, BackgroundPrefetchFailureIsCountedAndRetried) {
   SyntheticVolume ball = make_ball_volume({16, 16, 16});
-  FileBlockStore store =
-      FileBlockStore::write_store((dir_ / "bricks").string(), ball, {8, 8, 8});
+  const std::string path = (dir_ / "store.vzpk").string();
+  PackedFileBlockStore store =
+      PackedFileBlockStore::write_store(path, ball, {8, 8, 8});
 
-  // Delete one brick out from under the store.
-  fs::remove(store.block_path(3, 0, 0));
+  // Cut the last brick (block 7) off the end of the file.
+  fs::resize_file(path, fs::file_size(path) - 8ull * 8 * 8 * sizeof(float));
 
   AsyncPrefetcher pf(store, 2);
-  std::vector<BlockId> ids{0, 1, 2, 3, 4};
+  std::vector<BlockId> ids{3, 4, 5, 6, 7};
   pf.request(ids);
   pf.drain();
 
   EXPECT_EQ(pf.stats().failures, 1u);
   EXPECT_EQ(pf.stats().prefetched, 4u);
-  EXPECT_EQ(pf.get_if_ready(3), nullptr);
+  EXPECT_EQ(pf.get_if_ready(7), nullptr);
   // The healthy blocks are all usable.
-  for (BlockId id : {0u, 1u, 2u, 4u}) {
+  for (BlockId id : {3u, 4u, 5u, 6u}) {
     EXPECT_NE(pf.get_if_ready(id), nullptr);
   }
 
-  // The failed block is retryable: restore the brick, re-request, succeed.
-  FileBlockStore::write_store((dir_ / "bricks").string(), ball, {8, 8, 8});
-  std::vector<BlockId> retry{3};
+  // The failed block is retryable: rewrite the store in place (the open
+  // stream sees the new bytes), re-request, succeed.
+  PackedFileBlockStore::write_store(path, ball, {8, 8, 8});
+  std::vector<BlockId> retry{7};
   pf.request(retry);
   pf.drain();
-  EXPECT_NE(pf.get_if_ready(3), nullptr);
+  const AsyncPrefetcher::Payload restored = pf.get_if_ready(7);
+  ASSERT_NE(restored, nullptr);
+  EXPECT_EQ(*restored,
+            SyntheticBlockStore(ball, {8, 8, 8}).read_block(7, 0, 0));
   EXPECT_EQ(pf.stats().prefetched, 5u);
 }
 
 TEST_F(FailureInjectionTest, DemandReadFailureThrowsToCaller) {
   SyntheticVolume ball = make_ball_volume({16, 16, 16});
-  FileBlockStore store =
-      FileBlockStore::write_store((dir_ / "bricks").string(), ball, {8, 8, 8});
-  fs::remove(store.block_path(5, 0, 0));
+  const std::string path = (dir_ / "store.vzpk").string();
+  PackedFileBlockStore store =
+      PackedFileBlockStore::write_store(path, ball, {8, 8, 8});
+  fs::resize_file(path, fs::file_size(path) - 8ull * 8 * 8 * sizeof(float));
 
   AsyncPrefetcher pf(store, 1);
-  EXPECT_THROW(pf.get_blocking(5), IoError);
+  EXPECT_THROW(pf.get_blocking(7), IoError);
   // The prefetcher stays usable after the demand failure.
   EXPECT_NE(pf.get_blocking(0), nullptr);
 }

@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "core/workbench.hpp"
 #include "util/error.hpp"
@@ -240,6 +241,68 @@ TEST_F(BlockServiceTest, SecondSessionBenefitsFromSharedCache) {
   // DRAM holds only a quarter of the dataset, so B still misses where the
   // path outran the cache — but it must do at least 25% better than cold A.
   EXPECT_LT(sb.fast_misses * 4, sa.fast_misses * 3);
+}
+
+// Sharing versus sharding the same capacity: four sessions (two pairs on
+// the same path) either share one hierarchy or each get a private quarter
+// of it. All four step round-robin from this thread, so both runs are
+// deterministic. The shared cache holds each pair's working set once; a
+// quarter-size shard cannot hold one session's, so it thrashes.
+TEST_F(BlockServiceTest, SharedCacheBeatsSameCapacityShards) {
+  const CameraPath paths[4] = {path(60, 42), path(60, 42), path(60, 43),
+                               path(60, 43)};
+  struct Totals {
+    u64 fast_hits = 0;
+    u64 fast_misses = 0;
+    u64 backing_reads = 0;
+    double fast_miss_rate() const {
+      return static_cast<double>(fast_misses) /
+             static_cast<double>(fast_hits + fast_misses);
+    }
+  };
+  // Session s runs on services[s]; a service listed twice hosts both.
+  const auto run = [&](const std::vector<BlockService*>& services) {
+    std::vector<SessionId> ids;
+    for (BlockService* svc : services) {
+      ids.push_back(svc->open_session().value());
+    }
+    for (usize step = 0; step < paths[0].size(); ++step) {
+      for (usize s = 0; s < services.size(); ++s) {
+        services[s]->step(ids[s], paths[s][step]);
+      }
+    }
+    for (usize s = 0; s < services.size(); ++s) {
+      services[s]->close_session(ids[s]);
+    }
+    Totals totals;
+    const std::set<BlockService*> distinct(services.begin(), services.end());
+    for (const BlockService* svc : distinct) {
+      const HierarchyStats hs = svc->hierarchy().stats();
+      totals.fast_hits += hs.level.front().hits;
+      totals.fast_misses += hs.level.front().misses;
+      totals.backing_reads += hs.backing_reads();
+    }
+    return totals;
+  };
+
+  auto shared_svc = make_service(make_config());
+  BlockService* one = shared_svc.get();
+  const Totals shared = run({one, one, one, one});
+
+  ServiceConfig shard_cfg = make_config();
+  shard_cfg.max_sessions = 1;
+  std::vector<std::unique_ptr<BlockService>> shards;
+  std::vector<BlockService*> shard_ptrs;
+  for (usize s = 0; s < 4; ++s) {
+    shards.push_back(std::make_unique<BlockService>(
+        bench_->grid(), make_hierarchy(0.25), shard_cfg, &bench_->table(),
+        &bench_->importance()));
+    shard_ptrs.push_back(shards.back().get());
+  }
+  const Totals sharded = run(shard_ptrs);
+
+  EXPECT_LT(shared.fast_miss_rate(), sharded.fast_miss_rate());
+  EXPECT_LT(shared.backing_reads, sharded.backing_reads);
 }
 
 TEST_F(BlockServiceTest, PreloadWarmsTheSharedCache) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -111,6 +114,56 @@ TEST(MetricsRegistry, ResetZeroesButKeepsRegistrations) {
   EXPECT_EQ(snap.counter("x.count"), 0u);
   EXPECT_DOUBLE_EQ(snap.gauge("x.gauge"), 0.0);
   EXPECT_EQ(snap.histogram("x.hist").count, 0u);
+}
+
+// Golden snapshot of the metrics export that check_metrics_snapshot.py
+// reads. Deliberately brittle, like the Chrome-trace golden: any change to
+// the file format must be a conscious decision here too.
+TEST(MetricsSnapshot, WriteJsonGolden) {
+  MetricsRegistry reg;
+  reg.counter("a.count").inc(3);
+  reg.gauge("g.ratio").set(0.25);
+  reg.gauge("g.inf").set(std::numeric_limits<double>::infinity());
+  MetricHistogram& h = reg.histogram("h.lat", {1e-6, 0.5});
+  h.observe(0.25);
+  h.observe(2.0);
+  const std::string path = testing::TempDir() + "/vizcache_metrics_test.json";
+  reg.snapshot().write_json(path);
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  const std::string content((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  const std::string expected = R"({
+  "counters": {
+    "a.count": 3
+  },
+  "gauges": {
+    "g.inf": null,
+    "g.ratio": 0.25
+  },
+  "histograms": {
+    "h.lat": {
+      "count": 2,
+      "sum": 2.25,
+      "min": 0.25,
+      "max": 2,
+      "buckets": {
+        "le_1e-06": 0,
+        "le_0.5": 1,
+        "le_inf": 1
+      }
+    }
+  }
+}
+)";
+  EXPECT_EQ(content, expected);
+}
+
+TEST(MetricsSnapshot, WriteJsonThrowsOnBadPath) {
+  MetricsRegistry reg;
+  reg.counter("a.count").inc();
+  EXPECT_THROW(reg.snapshot().write_json("/nonexistent-dir/metrics.json"),
+               IoError);
 }
 
 TEST(LatencyBounds, AscendingAndSpanMicrosecondToSecond) {

@@ -112,6 +112,34 @@ TEST_F(PackedStoreTest, RejectsCorruptFiles) {
   EXPECT_THROW(truncated.read_block(7, 0, 0), IoError);
 }
 
+// The offset index must give every entry exactly its block's bytes. A
+// shrunk entry would hand out a 511-float payload for a 512-voxel block, an
+// offset below its predecessor would underflow the length, and a huge last
+// offset would allocate it before the short read fails.
+TEST_F(PackedStoreTest, RejectsCorruptIndex) {
+  SyntheticVolume ball = make_ball_volume({16, 16, 16});
+  const u64 block_bytes = 8 * 8 * 8 * sizeof(float);
+  // Rewrites a healthy store, then overwrites offsets[entry] in place. The
+  // index follows the magic, the eight header fields and the entry count.
+  const auto corrupt = [&](usize entry, u64 value) {
+    PackedFileBlockStore::write_store(path_, ball, {8, 8, 8});
+    std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(4 + (9 + entry) * sizeof(u64)));
+    f.write(reinterpret_cast<const char*>(&value), sizeof(value));
+    ASSERT_TRUE(f.good());
+  };
+  corrupt(2, 2 * block_bytes - 4);  // entry 1 short, entry 2 long
+  EXPECT_THROW(PackedFileBlockStore{path_}, IoError);
+  corrupt(2, block_bytes - 4);  // below offsets[1]
+  EXPECT_THROW(PackedFileBlockStore{path_}, IoError);
+  corrupt(8, u64{1} << 30);  // a 1 GiB last entry
+  EXPECT_THROW(PackedFileBlockStore{path_}, IoError);
+  corrupt(0, 4);  // the index must start at the payload
+  EXPECT_THROW(PackedFileBlockStore{path_}, IoError);
+  corrupt(8, 8 * block_bytes);  // the value write_store wrote: healthy
+  EXPECT_NO_THROW(PackedFileBlockStore{path_});
+}
+
 TEST_F(PackedStoreTest, MissingFileThrows) {
   EXPECT_THROW(PackedFileBlockStore("/nonexistent/store.vzpk"), IoError);
 }

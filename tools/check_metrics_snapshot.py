@@ -1,25 +1,26 @@
 #!/usr/bin/env python3
 """Validate a vizcache metrics-snapshot JSON artifact.
 
-CI runs the fig13 bench in quick mode and feeds the exported
-`*.metrics.json` through this script: a snapshot that silently lost one of
-the load-bearing instruments (a bind_metrics call dropped, a name renamed
-on one side only) fails the build instead of producing an empty dashboard.
+CI runs the fig13 bench in quick mode, and ctest runs the serving demos
+(multi_user_demo, net_demo); each exported `*.metrics.json` goes through
+this script: a snapshot that silently lost one of the load-bearing
+instruments (a bind_metrics call dropped, a name renamed on one side only)
+fails the build instead of producing an empty dashboard.
 
 Usage:
-  check_metrics_snapshot.py snapshot.json [--app-aware | --service]
+  check_metrics_snapshot.py snapshot.json [--app-aware | --service | --net]
 
 `--app-aware` additionally requires the prefetch-side instruments to be
 present AND non-zero (an app-aware run that never prefetched is a bug).
 
-`--service` validates a BlockService snapshot instead (bench_service /
-multi_user_demo): the `service.*` instruments must be present and, because
-those runs drive overlapping sessions, the coalesced-read counters must be
-non-zero (overlapping sessions that never coalesced a read is a bug).
+`--service` validates a BlockService snapshot instead (multi_user_demo):
+the `service.*` instruments must be present and, because that run drives
+overlapping sessions, the coalesced-read counters must be non-zero
+(overlapping sessions that never coalesced a read is a bug).
 
-`--net` validates a NetServer snapshot (bench_net): the `net.*` instruments
+`--net` validates a NetServer snapshot (net_demo): the `net.*` instruments
 must be present, the scenario counters (malformed frames, backpressure
-drops, coalesced reads) must be non-zero because the bench stages those
+drops, coalesced reads) must be non-zero because the demo stages those
 scenarios deterministically, and the active-connection / active-session
 gauges must have returned to zero (a leaked connection or session is a
 bug).
@@ -60,7 +61,7 @@ APP_AWARE_NONZERO_COUNTERS = [
     "hierarchy.prefetch.requests",
 ]
 
-# Instruments a BlockService run must export (bench_service, multi_user_demo).
+# Instruments a BlockService run must export (multi_user_demo).
 SERVICE_REQUIRED_COUNTERS = [
     "cache.dram.hits",
     "cache.dram.misses",
@@ -93,7 +94,7 @@ SERVICE_NONZERO_COUNTERS = [
     "service.hierarchy.coalescer.coalesced_waits",
 ]
 
-# Instruments a NetServer run must export (bench_net). The bench stages the
+# Instruments a NetServer run must export (net_demo). The demo stages the
 # hostile scenarios deterministically, so the scenario counters must have
 # actually fired — a zero means the scenario silently stopped exercising the
 # path it exists to cover.
