@@ -6,6 +6,23 @@
 
 namespace vizcache {
 
+HierarchyPort::Fetch MemoryPort::fetch_all(std::span<const BlockId> ids) {
+  Fetch f;
+  for (BlockId id : ids) {
+    if (!h_.resident_fast(base_ + id)) ++f.fast_misses;
+    f.seconds += h_.fetch(base_ + id, step_);
+  }
+  return f;
+}
+
+usize MemoryPort::drop_resident(std::span<BlockId> ids) const {
+  usize kept = 0;
+  for (BlockId id : ids) {
+    if (!h_.resident_fast(base_ + id)) ids[kept++] = id;
+  }
+  return kept;
+}
+
 namespace {
 
 /// Appends, in order, the `ids` worth prefetching: entropy above sigma and
@@ -14,14 +31,15 @@ void collect_candidates(const HierarchyPort& port,
                         const ImportanceTable& importance, double sigma_bits,
                         std::span<const BlockId> ids,
                         std::vector<BlockId>& out) {
+  const usize from = out.size();
   for (BlockId id : ids) {
     if (importance.entropy(id) <= sigma_bits) continue;
-    if (port.resident_fast(id)) continue;
     // analyze: allow(hot-path-alloc): per-step buffer, pre-reserved by the
     // caller; it must stay local, as BlockService::step runs this unlocked
     // and concurrently across sessions, so a hoisted scratch would race.
     out.push_back(id);
   }
+  out.resize(from + port.drop_resident(std::span(out).subspan(from)));
 }
 
 /// Prefetches `ids` in order until one overflows `budget`. A block the port
@@ -77,13 +95,11 @@ StepResult algorithm1_step(const Algorithm1Setup& setup, HierarchyPort& port,
   StepResult sr;
   sr.step = step;
   sr.visible_blocks = visible.size();
+  const HierarchyPort::Fetch f = port.fetch_all(visible);
+  sr.fast_misses = f.fast_misses;
+  sr.io_time = f.seconds;
   u64 visible_bytes = 0;
-  for (BlockId id : visible) {
-    const HierarchyPort::Fetch f = port.fetch(id);
-    if (!f.fast_hit) ++sr.fast_misses;
-    sr.io_time += f.seconds;
-    visible_bytes += grid.block_bytes(id);
-  }
+  for (BlockId id : visible) visible_bytes += grid.block_bytes(id);
   sr.render_time = setup.render_model.frame_time(visible.size());
 
   if (setup.app_aware) {

@@ -26,15 +26,22 @@ struct StepResult {
 };
 
 /// The Algorithm 1 kernel's view of a hierarchy, bound by each driver to its
-/// clock (a step, an epoch, a timestep's keys, a worker's slice). A dropped
-/// prefetch (shed or suppressed) costs no budget and is not counted.
+/// clock (a step, an epoch, a timestep's keys, a worker's slice). The
+/// per-block phases are batch calls, so a port over a shared hierarchy can
+/// serve each in one critical section; both keep the per-block order. A
+/// dropped prefetch (shed or suppressed) costs no budget and is not counted.
 class HierarchyPort {
  public:
-  struct Fetch { SimSeconds seconds = 0.0; bool fast_hit = false; };
+  /// A demand walk's simulated seconds, summed in list order, and the
+  /// blocks it found missing from fast memory.
+  struct Fetch { SimSeconds seconds = 0.0; usize fast_misses = 0; };
   struct Prefetch { SimSeconds seconds = 0.0; bool dropped = false; };
 
-  virtual bool resident_fast(BlockId id) const = 0;
-  virtual Fetch fetch(BlockId id) = 0;
+  /// Demand-fetches every id of `ids`, in order.
+  virtual Fetch fetch_all(std::span<const BlockId> ids) = 0;
+  /// Moves the ids of `ids` not resident in fast memory to its front, in
+  /// order, and returns their count.
+  virtual usize drop_resident(std::span<BlockId> ids) const = 0;
   virtual Prefetch prefetch(BlockId id, u64 bytes) = 0;
   virtual void preload(BlockId id) = 0;  ///< no simulated time charged
   virtual u64 fast_capacity_bytes() const = 0;
@@ -49,13 +56,8 @@ class MemoryPort final : public HierarchyPort {
  public:
   MemoryPort(MemoryHierarchy& hierarchy, u64 step, BlockId key_base = 0)
       : h_(hierarchy), step_(step), base_(key_base) {}
-  bool resident_fast(BlockId id) const override {
-    return h_.resident_fast(base_ + id);
-  }
-  Fetch fetch(BlockId id) override {
-    const bool hit = h_.resident_fast(base_ + id);
-    return {h_.fetch(base_ + id, step_), hit};
-  }
+  Fetch fetch_all(std::span<const BlockId> ids) override;
+  usize drop_resident(std::span<BlockId> ids) const override;
   Prefetch prefetch(BlockId id, u64 /*bytes*/) override {
     return {h_.prefetch(base_ + id, step_), false};
   }

@@ -15,13 +15,13 @@ class SessionPort final : public HierarchyPort {
  public:
   SessionPort(SharedHierarchy& shared, u64 epoch, u64 prefetch_share)
       : shared_(shared), epoch_(epoch), share_(prefetch_share) {}
-  bool resident_fast(BlockId id) const override {
-    return shared_.resident_fast(id);
+  Fetch fetch_all(std::span<const BlockId> ids) override {
+    const SharedHierarchy::FetchTotals t = shared_.fetch_all(ids, epoch_);
+    coalesced_hits += t.coalesced;
+    return {t.seconds, t.fast_misses};
   }
-  Fetch fetch(BlockId id) override {
-    const SharedHierarchy::FetchResult fr = shared_.fetch(id, epoch_);
-    if (fr.coalesced) ++coalesced_hits;
-    return {fr.seconds, fr.fast_hit};
+  usize drop_resident(std::span<BlockId> ids) const override {
+    return shared_.drop_resident(ids);
   }
   Prefetch prefetch(BlockId id, u64 bytes) override {
     // Blowing the fair share sheds only THIS block: a smaller one may still
@@ -100,13 +100,13 @@ std::optional<SessionId> BlockService::open_session() {
   }
   // After next_session_ (u32) wraps, the next candidate id can belong to a
   // still-open long-lived session; aliasing it would hand two viewers one
-  // SessionState. Skip live ids — the map holds at most max_sessions
+  // session. Skip live ids — the map holds at most max_sessions
   // entries, so this terminates long before the counter laps itself.
   SessionId id = next_session_++;
   while (sessions_.find(id) != sessions_.end()) id = next_session_++;
-  SessionState state;
-  state.summary.id = id;
-  const bool inserted = sessions_.emplace(id, state).second;
+  SessionSummary summary;
+  summary.id = id;
+  const bool inserted = sessions_.emplace(id, summary).second;
   VIZ_CHECK(inserted, "open_session raced an id it just probed as free");
   ins_.opened->inc();
   ins_.active->set(static_cast<double>(sessions_.size()));
@@ -126,13 +126,11 @@ BlockService::BlockFetch BlockService::fetch_block(SessionId session,
     VIZ_REQUIRE(sessions_.find(session) != sessions_.end(),
                 "fetch_block on a closed or unknown session");
   }
-  // Epoch-bracketed exactly like a step so the shared eviction protection
+  // Under its own epoch, like a step, so the shared eviction protection
   // covers the read; no service lock is held across the hierarchy call.
-  const u64 epoch = shared_.begin_step();
   BlockFetch result;
-  result.fetch = shared_.fetch(id, epoch);
+  result.fetch = shared_.fetch_block(id);
   result.bytes = grid_.block_bytes(id);
-  shared_.end_step(epoch);
 
   ins_.demand_requests->inc();
   if (result.fetch.coalesced) ins_.coalesced_hits->inc();
@@ -141,7 +139,7 @@ BlockService::BlockFetch BlockService::fetch_block(SessionId session,
     MutexLock lock(mutex_);
     auto it = sessions_.find(session);
     VIZ_REQUIRE(it != sessions_.end(), "session closed during fetch_block");
-    SessionSummary& sum = it->second.summary;
+    SessionSummary& sum = it->second;
     sum.demand_requests += 1;
     if (result.fetch.coalesced) sum.coalesced_hits += 1;
     if (!result.fetch.fast_hit) sum.fast_misses += 1;
@@ -156,7 +154,7 @@ SessionStepResult BlockService::step(SessionId session, const Camera& camera) {
     MutexLock lock(mutex_);
     auto it = sessions_.find(session);
     VIZ_REQUIRE(it != sessions_.end(), "step on a closed or unknown session");
-    ordinal = ++it->second.summary.steps;
+    ordinal = ++it->second.steps;
     // Fairness: the aggregate prefetch budget is split evenly over the
     // sessions active RIGHT NOW, so one session's appetite cannot consume
     // another's share. Recomputed every step as sessions come and go.
@@ -195,8 +193,7 @@ SessionStepResult BlockService::step(SessionId session, const Camera& camera) {
     MutexLock lock(mutex_);
     auto it = sessions_.find(session);
     VIZ_REQUIRE(it != sessions_.end(), "session closed during its own step");
-    SessionState& state = it->second;
-    SessionSummary& sum = state.summary;
+    SessionSummary& sum = it->second;
     sum.demand_requests += sr.visible_blocks;
     sum.fast_misses += sr.fast_misses;
     sum.coalesced_hits += sr.coalesced_hits;
@@ -204,12 +201,6 @@ SessionStepResult BlockService::step(SessionId session, const Camera& camera) {
     sum.prefetch_shed += sr.prefetch_shed;
     sum.prefetch_suppressed += sr.prefetch_suppressed;
     sum.sim_time += sr.total_time;
-
-    // Per-session timeline lane (worker == SessionId) on the session's own
-    // simulated clock, with VizPipeline::run's span layout.
-    record_step_spans(timeline_, sr, static_cast<u32>(session), state.clock,
-                      config_.app_aware);
-    state.clock += sr.total_time;
   }
   return sr;
 }
@@ -218,7 +209,7 @@ SessionSummary BlockService::close_session(SessionId session) {
   MutexLock lock(mutex_);
   auto it = sessions_.find(session);
   VIZ_REQUIRE(it != sessions_.end(), "close of a closed or unknown session");
-  const SessionSummary summary = it->second.summary;
+  const SessionSummary summary = it->second;
   sessions_.erase(it);
   ins_.closed->inc();
   ins_.active->set(static_cast<double>(sessions_.size()));
@@ -228,11 +219,6 @@ SessionSummary BlockService::close_session(SessionId session) {
 usize BlockService::active_sessions() const {
   MutexLock lock(mutex_);
   return sessions_.size();
-}
-
-StepTimeline BlockService::timeline() const {
-  MutexLock lock(mutex_);
-  return timeline_;
 }
 
 }  // namespace vizcache

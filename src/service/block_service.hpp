@@ -10,11 +10,10 @@
 #include "render/render_model.hpp"
 #include "service/shared_hierarchy.hpp"
 #include "util/metrics.hpp"
-#include "util/step_timeline.hpp"
 
 namespace vizcache {
 
-/// Identifies one open session; also its StepTimeline lane (StepEvent::worker).
+/// Identifies one open session.
 using SessionId = u32;
 
 /// Service-wide knobs.
@@ -77,8 +76,8 @@ struct SessionSummary {
 /// which adds cross-session eviction protection and read coalescing.
 ///
 /// Thread-safety: open_session/step/close_session may be called from any
-/// thread. mutex_ guards only the service's own bookkeeping (session map,
-/// timeline) and is a leaf lock: it is NEVER held across a SharedHierarchy
+/// thread. mutex_ guards only the service's own bookkeeping (the session
+/// map) and is a leaf lock: it is NEVER held across a SharedHierarchy
 /// call, so the two leaf locks are acquired strictly sequentially — the
 /// DESIGN.md no-nesting rule holds through the whole stack. The one rule the
 /// CALLER must keep: don't close a session while one of its steps is still
@@ -126,15 +125,7 @@ class BlockService {
   /// hierarchy's and coalescer's (bound at construction).
   MetricsRegistry& metrics() { return metrics_; }
 
-  /// Copy of the per-session-lane timeline (StepEvent::worker == SessionId).
-  StepTimeline timeline() const EXCLUDES(mutex_);
-
  private:
-  struct SessionState {
-    SessionSummary summary;    ///< running aggregate, id pre-filled
-    SimSeconds clock = 0.0;    ///< session-local simulated clock
-  };
-
   /// Registry instruments cached at construction (all owned by metrics_).
   struct Instruments {
     MetricCounter* opened = nullptr;
@@ -159,9 +150,9 @@ class BlockService {
   SharedHierarchy shared_;
 
   mutable Mutex mutex_;
-  std::unordered_map<SessionId, SessionState> sessions_ GUARDED_BY(mutex_);
+  /// Each open session's running aggregate, id pre-filled.
+  std::unordered_map<SessionId, SessionSummary> sessions_ GUARDED_BY(mutex_);
   SessionId next_session_ GUARDED_BY(mutex_) = 1;
-  StepTimeline timeline_ GUARDED_BY(mutex_);
   // analyze: allow(lock-unguarded-field): pointers set once in the
   // constructor, before any session thread exists; counters are atomic.
   Instruments ins_;

@@ -9,6 +9,7 @@ bool RequestCoalescer::try_claim(BlockId id) {
     if (metrics_.suppressed) metrics_.suppressed->inc();
     return false;
   }
+  in_flight_count_.store(in_flight_.size(), std::memory_order_relaxed);
   ++stats_.claims;
   if (metrics_.claims) metrics_.claims->inc();
   return true;
@@ -18,6 +19,7 @@ void RequestCoalescer::complete(BlockId id) {
   {
     MutexLock lock(mutex_);
     if (in_flight_.erase(id) == 0) return;
+    in_flight_count_.store(in_flight_.size(), std::memory_order_relaxed);
     ++stats_.completions;
     if (metrics_.completions) metrics_.completions->inc();
   }
@@ -40,11 +42,6 @@ bool RequestCoalescer::wait(BlockId id) {
 bool RequestCoalescer::in_flight(BlockId id) const {
   MutexLock lock(mutex_);
   return in_flight_.count(id) != 0;
-}
-
-usize RequestCoalescer::in_flight_count() const {
-  MutexLock lock(mutex_);
-  return in_flight_.size();
 }
 
 RequestCoalescer::Stats RequestCoalescer::stats() const {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <string>
 #include <unordered_set>
 
@@ -46,7 +47,14 @@ class RequestCoalescer {
   bool wait(BlockId id) EXCLUDES(mutex_);
 
   bool in_flight(BlockId id) const EXCLUDES(mutex_);
-  usize in_flight_count() const EXCLUDES(mutex_);
+
+  /// Number of claims outstanding. Lock-free, so a caller holding its own
+  /// leaf lock may read it (SharedHierarchy does, to decide whether a miss
+  /// can be read without a claim). A claim racing the read may be missed;
+  /// once every claimer has completed, the count is exact.
+  usize in_flight_count() const {
+    return in_flight_count_.load(std::memory_order_relaxed);
+  }
 
   struct Stats {
     u64 claims = 0;           ///< try_claim calls that became leader
@@ -76,6 +84,8 @@ class RequestCoalescer {
   mutable Mutex mutex_;
   CondVar cv_;
   std::unordered_set<BlockId> in_flight_ GUARDED_BY(mutex_);
+  /// in_flight_.size(), stored under mutex_ at every change.
+  std::atomic<usize> in_flight_count_{0};
   Stats stats_ GUARDED_BY(mutex_);
   // analyze: allow(lock-unguarded-field): pointers set once in bind_metrics
   // during single-threaded setup; the counters they point at are atomic.

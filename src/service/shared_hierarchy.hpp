@@ -1,6 +1,7 @@
 #pragma once
 
 #include <set>
+#include <span>
 #include <string>
 
 #include "service/request_coalescer.hpp"
@@ -13,7 +14,8 @@ namespace vizcache {
 /// sessions. The hierarchy itself stays "thread-compatible, not thread-safe"
 /// (block_cache.hpp); every touch of it here happens under mutex_, a leaf
 /// lock per DESIGN.md — no code path holds it while sleeping, waiting, or
-/// calling into the coalescer.
+/// taking the coalescer's lock (under it, only the coalescer's lock-free
+/// claim count is read).
 ///
 /// Two concerns are layered on top of the raw hierarchy:
 ///
@@ -28,20 +30,29 @@ namespace vizcache {
 /// ends — session A's eviction scan never steals what session B used this
 /// step.
 ///
-/// *Request coalescing.* A fast-level miss claims the block in the
+/// *Request coalescing.* A read that needs a window — a paced leader, or a
+/// miss while another reader holds a claim — claims the block in the
 /// RequestCoalescer before touching the slow path; concurrent sessions
 /// demanding the same block block on the coalescer's CondVar (outside
 /// mutex_), then re-probe — by then the leader's promotion has made the block
-/// a fast hit, so K overlapping demands cost one backing read.
+/// a fast hit, so K overlapping demands cost one backing read. Every other
+/// miss is read in the hold that found it: the read is instantaneous on the
+/// wall clock and lands before mutex_ is released, so no second reader can
+/// see the block missing, and the coalescer sees no traffic.
+///
+/// *Batch calls.* fetch_all() walks a step's visible list and
+/// drop_resident() filters its prefetch candidates, each under one hold of
+/// mutex_ and in list order, so a step takes the lock a few times instead of
+/// once per block.
 class SharedHierarchy {
  public:
   /// `leader_pace_seconds` holds a leader's in-flight marker open for a real
   /// wall-clock beat (sleeping outside every lock) before it performs the
   /// simulated read. The hierarchy's own time is simulated — a "read" under
   /// the lock is instantaneous on the wall clock — so without pacing the
-  /// coalescing window is nearly unobservable. Benchmarks and demos set a
-  /// couple of milliseconds to make coalesced reads measurable; tests that
-  /// don't care leave it 0.
+  /// coalescing window does not exist. The serving demos and the paced
+  /// stress tests set 0.2-1 ms to make coalesced reads measurable; at 0
+  /// every miss is read in the hold that found it.
   explicit SharedHierarchy(MemoryHierarchy hierarchy,
                            double leader_pace_seconds = 0.0);
 
@@ -65,11 +76,36 @@ class SharedHierarchy {
     bool suppressed = false;   ///< dropped: the block is already in flight
   };
 
+  /// A batch walk's results, summed over its blocks in list order.
+  struct FetchTotals {
+    SimSeconds seconds = 0.0;
+    usize fast_misses = 0;
+    usize coalesced = 0;
+
+    void add(const FetchResult& r) {
+      seconds += r.seconds;
+      if (!r.fast_hit) ++fast_misses;
+      if (r.coalesced) ++coalesced;
+    }
+  };
+
   /// Demand-fetch `id` for the step with epoch `epoch`. Never performs a
   /// duplicate backing read: a miss while another session reads the same
   /// block waits for that read, and is reported as coalesced iff the wait
   /// is what served it (the post-wait probe hit fast memory).
   FetchResult fetch(BlockId id, u64 epoch) EXCLUDES(mutex_);
+
+  /// fetch() of every id in `ids`, in order, under one hold of mutex_. Only
+  /// a block that needs a read window (see the class comment) leaves the
+  /// hold, through fetch()'s claim/wait path; the walk then retakes the
+  /// lock for the rest of the list.
+  FetchTotals fetch_all(std::span<const BlockId> ids, u64 epoch)
+      EXCLUDES(mutex_);
+
+  /// fetch() outside any step: draws an epoch, fetches `id` under it and
+  /// retires it, all in one hold unless the read needs a window (the FETCH
+  /// verb's path).
+  FetchResult fetch_block(BlockId id) EXCLUDES(mutex_);
 
   /// Prefetch `id`. Prefetches never wait: if the block is claimed by
   /// another reader the request is suppressed (the data is on its way
@@ -81,6 +117,10 @@ class SharedHierarchy {
   void preload(BlockId id) EXCLUDES(mutex_);
 
   bool resident_fast(BlockId id) const EXCLUDES(mutex_);
+
+  /// Moves the ids of `ids` not resident in fast memory to its front, in
+  /// order, and returns their count; one hold of mutex_.
+  usize drop_resident(std::span<BlockId> ids) const EXCLUDES(mutex_);
 
   /// Capacity of the fastest (DRAM) level; immutable after construction, so
   /// readable without the lock.
@@ -108,6 +148,20 @@ class SharedHierarchy {
   /// min(active epochs), clamped to `epoch` so a step that outlives its
   /// neighbours still satisfies BlockCache's floor <= step precondition.
   u64 protect_floor_locked(u64 epoch) const REQUIRES(mutex_);
+
+  /// Serves `id` in the current hold when it is fast-resident, or when a
+  /// miss needs no read window: leaders are unpaced and no claim is
+  /// outstanding (the coalescer's lock-free count, so mutex_ stays a leaf
+  /// lock). Returns false, touching nothing, when the block must take the
+  /// claim/wait path instead.
+  bool fetch_in_hold_locked(BlockId id, u64 epoch, FetchResult& out)
+      REQUIRES(mutex_);
+
+  /// True when a miss read now would need no window (see above).
+  bool miss_reads_in_hold() const;
+
+  /// fetch()'s claim/wait path for a block the hold could not serve.
+  FetchResult fetch_outside_hold(BlockId id, u64 epoch) EXCLUDES(mutex_);
 
   /// Wall-clock sleep of leader_pace_seconds_; called with no lock held.
   void pace() const EXCLUDES(mutex_);

@@ -21,9 +21,6 @@ const char* step_event_kind_name(StepEvent::Kind kind) {
 
 void StepTimeline::record(const StepEvent& event) {
   VIZ_REQUIRE(event.end >= event.start, "step event ends before it starts");
-  // analyze: allow(hot-path-alloc): the timeline is the observability
-  // product — amortized append of a trivially-copyable event, a few per
-  // step, never per block or per pixel.
   events_.push_back(event);
 }
 

@@ -323,31 +323,6 @@ TEST_F(BlockServiceTest, PreloadWarmsTheSharedCache) {
   EXPECT_LT(warm_misses, cold_misses);
 }
 
-TEST_F(BlockServiceTest, TimelineHasOneLanePerSession) {
-  auto svc = make_service(make_config());
-  const auto a = svc->open_session();
-  const auto b = svc->open_session();
-  ASSERT_TRUE(a && b);
-  const CameraPath p = path(5);
-  for (const Camera& cam : p) {
-    svc->step(*a, cam);
-    svc->step(*b, cam);
-  }
-  const StepTimeline tl = svc->timeline();
-  bool saw_a = false, saw_b = false;
-  for (const StepEvent& ev : tl.events()) {
-    if (ev.worker == *a) saw_a = true;
-    if (ev.worker == *b) saw_b = true;
-    EXPECT_GE(ev.end, ev.start);
-  }
-  EXPECT_TRUE(saw_a);
-  EXPECT_TRUE(saw_b);
-  // The app-aware service records overlapped lookup+prefetch spans.
-  EXPECT_GT(tl.overlap_seconds(StepEvent::Kind::kPrefetch,
-                               StepEvent::Kind::kRender),
-            0.0);
-}
-
 TEST_F(BlockServiceTest, AppAwareServiceRequiresTables) {
   ServiceConfig cfg = make_config();
   EXPECT_THROW(BlockService(bench_->grid(), make_hierarchy(), cfg),

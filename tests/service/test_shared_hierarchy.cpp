@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/units.hpp"
@@ -160,8 +162,78 @@ TEST(SharedHierarchy, WaiterServedByLeaderIsCoalescedExactlyOnce) {
   sh.end_step(e);
 }
 
+// Unpaced, with no claim outstanding, a miss is read in the hold that found
+// it: every miss of a walk, a single fetch, a FETCH and a prefetch lands
+// with no coalescer traffic and exactly one backing read each.
+TEST(SharedHierarchy, UnpacedMissesAreReadInTheHoldWithoutClaims) {
+  SharedHierarchy sh(make_two_level(8, 16));
+  const u64 e = sh.begin_step();
+  const std::vector<BlockId> walk{1, 2, 1, 3};
+  const SharedHierarchy::FetchTotals t = sh.fetch_all(walk, e);
+  EXPECT_EQ(t.fast_misses, 3u);  // the second 1 is a fast hit
+  EXPECT_EQ(t.coalesced, 0u);
+  EXPECT_DOUBLE_EQ(t.seconds, 3 * hdd_device().transfer_time(kBlock) +
+                                  dram_device().transfer_time(kBlock));
+  EXPECT_FALSE(sh.fetch(4, e).fast_hit);
+  EXPECT_TRUE(sh.prefetch(5, e).performed);
+  sh.end_step(e);
+  EXPECT_FALSE(sh.fetch_block(6).fast_hit);
+  EXPECT_TRUE(sh.fetch_block(6).fast_hit);
+
+  const HierarchyStats stats = sh.stats();
+  EXPECT_EQ(stats.demand_requests, 7u);
+  EXPECT_EQ(stats.demand_backing_reads, 5u);
+  EXPECT_EQ(stats.prefetch_backing_reads, 1u);
+  const RequestCoalescer::Stats cs = sh.coalescer().stats();
+  EXPECT_EQ(cs.claims, 0u);
+  EXPECT_EQ(cs.suppressed, 0u);
+  EXPECT_EQ(cs.coalesced_waits, 0u);
+}
+
+// Another reader's claim still makes a walk wait: the walk blocks on the
+// claimed block until the claim completes, is served by the landed read
+// (coalesced), and reads the blocks around it itself.
+TEST(SharedHierarchy, WalkWaitsOnAnotherReadersClaim) {
+  SharedHierarchy sh(make_two_level(4, 8));
+  const u64 e = sh.begin_step();
+  ASSERT_TRUE(sh.coalescer().try_claim(7));  // a leader mid-read elsewhere
+  const std::vector<BlockId> walk{1, 7, 2};
+  SharedHierarchy::FetchTotals t;
+  std::atomic<bool> done{false};
+  std::thread walker([&] {
+    t = sh.fetch_all(walk, e);
+    done = true;
+  });
+  while (sh.coalescer().stats().coalesced_waits == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_FALSE(done.load());  // parked on 7
+  sh.preload(7);               // the leader's read lands...
+  sh.coalescer().complete(7);  // ...and the claim is released
+  walker.join();
+  EXPECT_EQ(t.coalesced, 1u);
+  EXPECT_EQ(t.fast_misses, 2u);  // 1 and 2; 7 was served by the wait
+  EXPECT_EQ(sh.stats().demand_backing_reads, 2u);
+  EXPECT_TRUE(sh.resident_fast(1));
+  EXPECT_TRUE(sh.resident_fast(2));
+  EXPECT_EQ(sh.coalescer().in_flight_count(), 0u);
+  sh.end_step(e);
+}
+
+TEST(SharedHierarchy, DropResidentKeepsMissingIdsInOrder) {
+  SharedHierarchy sh(make_two_level(4, 8));
+  sh.preload(2);
+  sh.preload(5);
+  std::vector<BlockId> ids{5, 1, 2, 9, 3};
+  const usize kept = sh.drop_resident(ids);
+  ASSERT_EQ(kept, 3u);
+  EXPECT_EQ(std::vector<BlockId>(ids.begin(), ids.begin() + 3),
+            (std::vector<BlockId>{1, 9, 3}));
+}
+
+// A paced leader claims its read; the bound instrument mirrors the claim.
 TEST(SharedHierarchy, BindMetricsExposesCoalescerInstruments) {
-  SharedHierarchy sh(make_two_level(2, 4));
+  SharedHierarchy sh(make_two_level(2, 4), /*leader_pace_seconds=*/1e-6);
   MetricsRegistry registry;
   sh.bind_metrics(&registry, "service.hierarchy");
   const u64 e = sh.begin_step();

@@ -66,7 +66,15 @@ DEFAULT_REGISTRY = {
                 "service run: the per-block visible fetch loop and the "
                 "budgeted prefetch pass, through the hierarchy port"},
         {"function": "SharedHierarchy::fetch",
-         "why": "multi-session fetch front door"},
+         "why": "single-block fetch: the in-hold read and the claim/wait "
+                "path that every shared-hierarchy fetch shares"},
+        {"function": "SharedHierarchy::fetch_all",
+         "why": "a service step's visible walk: the per-block loop runs "
+                "inside one hold of the shared-hierarchy lock, misses "
+                "included, so nothing in it may allocate or block"},
+        {"function": "SharedHierarchy::fetch_block",
+         "why": "the FETCH verb's path: its epoch and its read in one hold "
+                "of the shared-hierarchy lock"},
         {"function": "AsyncPrefetcher::get_blocking",
          "why": "demand path through the prefetcher"},
     ],
