@@ -30,9 +30,6 @@ ParallelPipeline::ParallelPipeline(const BlockGrid& grid, Partition partition,
         [g = &grid](BlockId id) { return g->block_bytes(id); }));
   }
   metrics_ = std::make_unique<MetricsRegistry>();
-  // Same prefix for every worker: the registry's find-or-create semantics
-  // make the shared instruments whole-run aggregates across workers.
-  for (MemoryHierarchy& h : hierarchies_) h.bind_metrics(metrics_.get());
 }
 
 MemoryHierarchy& ParallelPipeline::worker_hierarchy(usize w) {
@@ -146,13 +143,9 @@ ParallelRunResult ParallelPipeline::run(const CameraPath& path) {
     result.steps.push_back(sr);
   }
 
-  u64 lookups = 0, misses = 0;
-  for (const MemoryHierarchy& h : hierarchies_) {
-    lookups += h.stats().level[0].lookups();
-    misses += h.stats().level[0].misses;
-  }
-  result.fast_miss_rate =
-      lookups ? static_cast<double>(misses) / static_cast<double>(lookups) : 0.0;
+  HierarchyStats summed = hierarchies_.front().stats();
+  for (usize w = 1; w < n; ++w) summed += hierarchies_[w].stats();
+  result.fast_miss_rate = summed.fast_miss_rate();
   for (const StepResult& s : result.steps) {
     result.io_time += s.io_time;
     result.prefetch_time += s.prefetch_time;
@@ -170,6 +163,7 @@ ParallelRunResult ParallelPipeline::run(const CameraPath& path) {
   metrics_->gauge("pipeline.fast_miss_rate").set(result.fast_miss_rate);
   metrics_->gauge("pipeline.fetch_speedup").set(result.fetch_speedup);
   result.metrics = metrics_->snapshot();
+  report_metrics(summed, "hierarchy", result.metrics);
   return result;
 }
 

@@ -18,7 +18,8 @@ struct ParallelRunResult {
   std::vector<StepResult> steps;
   std::vector<WorkerStats> workers;
   StepTimeline timeline;          ///< per-worker spans on the simulated clock
-  MetricsSnapshot metrics;        ///< registry snapshot taken at run end
+  MetricsSnapshot metrics;        ///< run-end registry snapshot + the
+                                  ///< workers' summed hierarchy stats
   double fast_miss_rate = 0.0;
   SimSeconds io_time = 0.0;       ///< sum over steps of per-step makespans
   SimSeconds prefetch_time = 0.0; ///< idem for prefetch makespans
@@ -57,10 +58,10 @@ class ParallelPipeline {
   /// Worker `w`'s slice of the hierarchy (tests inspect per-worker caches).
   MemoryHierarchy& worker_hierarchy(usize w);
 
-  /// The pipeline's metric registry. Every worker hierarchy binds to it
-  /// under the same prefix, so counters aggregate across workers; reset at
-  /// the start of every run(); ParallelRunResult::metrics is its end-of-run
-  /// snapshot.
+  /// The pipeline's metric registry (pipeline instruments); reset at the
+  /// start of every run(). ParallelRunResult::metrics is its end-of-run
+  /// snapshot with the workers' hierarchy stats, summed, reported into it
+  /// under the one prefix `hierarchy` (and `cache.*`).
   MetricsRegistry& metrics() { return *metrics_; }
 
  private:

@@ -31,7 +31,6 @@ VizPipeline::VizPipeline(const BlockGrid& grid, MemoryHierarchy hierarchy,
       metadata_(metadata),
       bounds_(grid),
       metrics_(std::make_unique<MetricsRegistry>()) {
-  hierarchy_.bind_metrics(metrics_.get());
   if (config_.app_aware) {
     VIZ_REQUIRE(table != nullptr, "app-aware pipeline needs T_visible");
     VIZ_REQUIRE(importance != nullptr, "app-aware pipeline needs T_important");
@@ -99,6 +98,7 @@ RunResult VizPipeline::run(const CameraPath& path,
   metrics_->gauge("pipeline.total_seconds").set(result.total_time);
   metrics_->gauge("pipeline.fast_miss_rate").set(result.fast_miss_rate);
   result.metrics = metrics_->snapshot();
+  report_metrics(result.hierarchy, "hierarchy", result.metrics);
   return result;
 }
 

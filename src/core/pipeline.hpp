@@ -23,7 +23,8 @@ struct RunResult {
   HierarchyStats hierarchy;
   TraceRecorder trace;          ///< demand accesses, for Belady replays
   StepTimeline timeline;        ///< per-step spans on the simulated clock
-  MetricsSnapshot metrics;      ///< registry snapshot taken at run end
+  MetricsSnapshot metrics;      ///< run-end registry snapshot, with
+                                ///< `hierarchy` reported into it
 
   double fast_miss_rate = 0.0;  ///< DRAM-level miss fraction
   double total_miss_rate = 0.0; ///< paper's multi-level miss rate
@@ -85,10 +86,11 @@ class VizPipeline {
 
   MemoryHierarchy& hierarchy() { return hierarchy_; }
 
-  /// The pipeline's metric registry (hierarchy + cache + pipeline
-  /// instruments). Reset at the start of every run(); RunResult::metrics is
-  /// its end-of-run snapshot. Exposed so harnesses can add their own
-  /// instruments to the same snapshot.
+  /// The pipeline's metric registry (pipeline instruments). Reset at the
+  /// start of every run(); RunResult::metrics is its end-of-run snapshot
+  /// with the hierarchy's stats reported into it (`hierarchy.*`,
+  /// `cache.*`). Exposed so harnesses can add their own instruments to the
+  /// same snapshot.
   MetricsRegistry& metrics() { return *metrics_; }
 
  private:
@@ -98,8 +100,7 @@ class VizPipeline {
   const BlockMetadataTable* metadata_;
   BlockBoundsIndex bounds_;
   /// Heap-owned so the pipeline stays movable (MetricsRegistry holds a
-  /// Mutex); instrument pointers bound into hierarchy_ stay valid across
-  /// moves because the registry owns its instruments by unique_ptr.
+  /// Mutex).
   std::unique_ptr<MetricsRegistry> metrics_;
 };
 

@@ -64,11 +64,9 @@ AsyncPrefetcher::Payload AsyncPrefetcher::get_blocking(BlockId id, usize var,
     auto it = cache_.find(id);
     if (it != cache_.end()) {
       ++stats_.demand_hits;
-      if (metrics_.demand_hits) metrics_.demand_hits->inc();
       return it->second;
     }
     ++stats_.demand_misses;
-    if (metrics_.demand_misses) metrics_.demand_misses->inc();
   }
   // Claim the block for the duration of the synchronous read so a concurrent
   // request() cannot launch a duplicate background read. The claim is owned:
@@ -135,23 +133,10 @@ AsyncPrefetcher::Stats AsyncPrefetcher::stats() const {
   return stats_;
 }
 
-void AsyncPrefetcher::bind_metrics(MetricsRegistry* registry,
-                                   const std::string& prefix) {
-  if (registry == nullptr) {
-    metrics_ = {};
-    return;
-  }
-  metrics_.demand_hits = &registry->counter(prefix + ".demand_hits");
-  metrics_.demand_misses = &registry->counter(prefix + ".demand_misses");
-  metrics_.prefetched = &registry->counter(prefix + ".prefetched");
-  metrics_.failures = &registry->counter(prefix + ".failures");
-}
-
 void AsyncPrefetcher::note_failure(BlockId id) {
   {
     MutexLock lock(mutex_);
     ++stats_.failures;
-    if (metrics_.failures) metrics_.failures->inc();
   }
   coalescer_.complete(id);
 }
@@ -164,10 +149,7 @@ void AsyncPrefetcher::store_payload(BlockId id, std::vector<float> payload,
       cache_[id] =
           std::make_shared<const std::vector<float>>(std::move(payload));
     }
-    if (prefetch) {
-      ++stats_.prefetched;
-      if (metrics_.prefetched) metrics_.prefetched->inc();
-    }
+    if (prefetch) ++stats_.prefetched;
   }
   coalescer_.complete(id);
 }

@@ -8,7 +8,6 @@
 
 #include "service/request_coalescer.hpp"
 #include "util/annotated_mutex.hpp"
-#include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 #include "volume/block_store.hpp"
 
@@ -69,27 +68,10 @@ class AsyncPrefetcher {
   };
   Stats stats() const EXCLUDES(mutex_);
 
-  /// Mirror every future stats increment into `registry` under
-  /// `<prefix>.{demand_hits,demand_misses,prefetched,failures}`. Call once
-  /// before any loads are issued (the pointers are read without mutex_; the
-  /// counters themselves are atomic); pass nullptr to detach. The registry
-  /// must outlive the prefetcher.
-  void bind_metrics(MetricsRegistry* registry,
-                    const std::string& prefix = "prefetcher");
-
  private:
   void store_payload(BlockId id, std::vector<float> payload, bool prefetch)
       EXCLUDES(mutex_);
   void note_failure(BlockId id) EXCLUDES(mutex_);
-
-  /// Registry instruments mirroring stats_; all null until bind_metrics.
-  /// Written only by bind_metrics before concurrent use — see its contract.
-  struct BoundMetrics {
-    MetricCounter* demand_hits = nullptr;
-    MetricCounter* demand_misses = nullptr;
-    MetricCounter* prefetched = nullptr;
-    MetricCounter* failures = nullptr;
-  };
 
   const BlockStore& store_;
   mutable Mutex mutex_;
@@ -97,9 +79,6 @@ class AsyncPrefetcher {
   /// In-flight read table (self-synchronized; never touched under mutex_).
   RequestCoalescer coalescer_;
   Stats stats_ GUARDED_BY(mutex_);
-  // analyze: allow(lock-unguarded-field): pointers set once in bind_metrics
-  // before workers are submitted; the counters they point at are atomic.
-  BoundMetrics metrics_;
   /// Declared last on purpose: the pool is destroyed (and its workers
   /// joined) before any state its tasks touch, so a forgotten drain can
   /// never become a use-after-free of cache_/mutex_.

@@ -66,7 +66,13 @@ BlockService::BlockService(const BlockGrid& grid, MemoryHierarchy hierarchy,
     VIZ_REQUIRE(table != nullptr, "app-aware service needs T_visible");
     VIZ_REQUIRE(importance != nullptr, "app-aware service needs T_important");
   }
-  shared_.bind_metrics(&metrics_, "service.hierarchy");
+  // The shared hierarchy's and the coalescer's counters stay in their stats
+  // structs; a snapshot reads them, taking each one's lock in turn.
+  metrics_.add_snapshot_hook([this](MetricsSnapshot& out) {
+    report_metrics(shared_.stats(), "service.hierarchy", out);
+    report_metrics(shared_.coalescer().stats(), "service.hierarchy.coalescer",
+                   out);
+  });
   ins_.opened = &metrics_.counter("service.sessions.opened");
   ins_.closed = &metrics_.counter("service.sessions.closed");
   ins_.rejected = &metrics_.counter("service.sessions.rejected");

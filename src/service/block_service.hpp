@@ -121,8 +121,9 @@ class BlockService {
   const SharedHierarchy& hierarchy() const { return shared_; }
   const BlockGrid& grid() const { return grid_; }
 
-  /// The service's registry: service.* instruments plus the shared
-  /// hierarchy's and coalescer's (bound at construction).
+  /// The service's registry: service.* instruments; its snapshots add the
+  /// shared hierarchy's stats (`service.hierarchy.*`, `cache.*`) and the
+  /// coalescer's (`service.hierarchy.coalescer.*`), read when taken.
   MetricsRegistry& metrics() { return metrics_; }
 
  private:

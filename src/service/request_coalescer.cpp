@@ -6,12 +6,10 @@ bool RequestCoalescer::try_claim(BlockId id) {
   MutexLock lock(mutex_);
   if (!in_flight_.insert(id).second) {
     ++stats_.suppressed;
-    if (metrics_.suppressed) metrics_.suppressed->inc();
     return false;
   }
   in_flight_count_.store(in_flight_.size(), std::memory_order_relaxed);
   ++stats_.claims;
-  if (metrics_.claims) metrics_.claims->inc();
   return true;
 }
 
@@ -21,7 +19,6 @@ void RequestCoalescer::complete(BlockId id) {
     if (in_flight_.erase(id) == 0) return;
     in_flight_count_.store(in_flight_.size(), std::memory_order_relaxed);
     ++stats_.completions;
-    if (metrics_.completions) metrics_.completions->inc();
   }
   // Notify outside the lock so woken waiters don't immediately block on it.
   cv_.notify_all();
@@ -31,7 +28,6 @@ bool RequestCoalescer::wait(BlockId id) {
   MutexLock lock(mutex_);
   if (in_flight_.count(id) == 0) return false;
   ++stats_.coalesced_waits;
-  if (metrics_.coalesced_waits) metrics_.coalesced_waits->inc();
   // analyze: allow(hot-path-block): coalescing IS the wait — the follower
   // parks until the leader's in-flight read lands instead of issuing a
   // duplicate device read (the paper's shared-read optimization).
@@ -49,16 +45,12 @@ RequestCoalescer::Stats RequestCoalescer::stats() const {
   return stats_;
 }
 
-void RequestCoalescer::bind_metrics(MetricsRegistry* registry,
-                                    const std::string& prefix) {
-  if (registry == nullptr) {
-    metrics_ = {};
-    return;
-  }
-  metrics_.claims = &registry->counter(prefix + ".claims");
-  metrics_.suppressed = &registry->counter(prefix + ".suppressed");
-  metrics_.completions = &registry->counter(prefix + ".completions");
-  metrics_.coalesced_waits = &registry->counter(prefix + ".coalesced_waits");
+void report_metrics(const RequestCoalescer::Stats& stats,
+                    const std::string& prefix, MetricsSnapshot& out) {
+  out.add_counter(prefix + ".claims", stats.claims);
+  out.add_counter(prefix + ".suppressed", stats.suppressed);
+  out.add_counter(prefix + ".completions", stats.completions);
+  out.add_counter(prefix + ".coalesced_waits", stats.coalesced_waits);
 }
 
 }  // namespace vizcache

@@ -64,32 +64,18 @@ class RequestCoalescer {
   };
   Stats stats() const EXCLUDES(mutex_);
 
-  /// Mirror every future stats increment into `registry` under
-  /// `<prefix>.{claims,suppressed,completions,coalesced_waits}`. Call once
-  /// before concurrent use (pointers are read without mutex_; the counters
-  /// themselves are atomic); pass nullptr to detach. The registry must
-  /// outlive the coalescer.
-  void bind_metrics(MetricsRegistry* registry,
-                    const std::string& prefix = "coalescer");
-
  private:
-  /// Registry instruments mirroring stats_; all null until bind_metrics.
-  struct BoundMetrics {
-    MetricCounter* claims = nullptr;
-    MetricCounter* suppressed = nullptr;
-    MetricCounter* completions = nullptr;
-    MetricCounter* coalesced_waits = nullptr;
-  };
-
   mutable Mutex mutex_;
   CondVar cv_;
   std::unordered_set<BlockId> in_flight_ GUARDED_BY(mutex_);
   /// in_flight_.size(), stored under mutex_ at every change.
   std::atomic<usize> in_flight_count_{0};
   Stats stats_ GUARDED_BY(mutex_);
-  // analyze: allow(lock-unguarded-field): pointers set once in bind_metrics
-  // during single-threaded setup; the counters they point at are atomic.
-  BoundMetrics metrics_;
 };
+
+/// Writes `stats` into `out` as the counters
+/// `<prefix>.{claims,suppressed,completions,coalesced_waits}`.
+void report_metrics(const RequestCoalescer::Stats& stats,
+                    const std::string& prefix, MetricsSnapshot& out);
 
 }  // namespace vizcache

@@ -189,20 +189,4 @@ HierarchyStats SharedHierarchy::stats() const {
   return hier_.stats();
 }
 
-void SharedHierarchy::reset_stats() {
-  MutexLock lock(mutex_);
-  hier_.reset_stats();
-}
-
-// Setup-phase: runs before the object is shared (BlockService constructor),
-// so hier_ is touched without mutex_. Holding mutex_ here would span the
-// registry's internal lock for every counter/gauge/histogram registration —
-// a nested-lock path the leaf-lock rule (DESIGN.md) forbids.
-void SharedHierarchy::bind_metrics(MetricsRegistry* registry,
-                                   const std::string& prefix)
-    NO_THREAD_SAFETY_ANALYSIS {
-  hier_.bind_metrics(registry, prefix);
-  coalescer_.bind_metrics(registry, prefix + ".coalescer");
-}
-
 }  // namespace vizcache

@@ -2,7 +2,6 @@
 
 #include <set>
 #include <span>
-#include <string>
 
 #include "service/request_coalescer.hpp"
 #include "storage/hierarchy.hpp"
@@ -128,18 +127,6 @@ class SharedHierarchy {
 
   /// Snapshot of the shared hierarchy's counters (copied under the lock).
   HierarchyStats stats() const EXCLUDES(mutex_);
-  void reset_stats() EXCLUDES(mutex_);
-
-  /// Bind the wrapped hierarchy's instruments (see
-  /// MemoryHierarchy::bind_metrics) and the coalescer's under
-  /// `<prefix>.coalescer.*`. Setup-phase only: call before any other thread
-  /// touches this object. The instruments live inside the guarded
-  /// hierarchy, but registering them means calling into the registry's own
-  /// internal lock — taking mutex_ across those calls would nest two
-  /// mutexes, the exact shape the leaf-lock rule forbids.
-  void bind_metrics(MetricsRegistry* registry,
-                    const std::string& prefix = "service.hierarchy")
-      EXCLUDES(mutex_);
 
   RequestCoalescer& coalescer() { return coalescer_; }
   const RequestCoalescer& coalescer() const { return coalescer_; }

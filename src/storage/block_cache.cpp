@@ -17,17 +17,22 @@ BlockCache::BlockCache(u64 capacity_bytes,
   VIZ_REQUIRE(size_fn_ != nullptr, "cache needs a block size function");
 }
 
-void BlockCache::bind_metrics(MetricsRegistry* registry,
-                              const std::string& prefix) {
-  if (registry == nullptr) {
-    metrics_ = {};
-    return;
-  }
-  metrics_.hits = &registry->counter(prefix + ".hits");
-  metrics_.misses = &registry->counter(prefix + ".misses");
-  metrics_.insertions = &registry->counter(prefix + ".insertions");
-  metrics_.evictions = &registry->counter(prefix + ".evictions");
-  metrics_.bypasses = &registry->counter(prefix + ".bypasses");
+CacheStats& CacheStats::operator+=(const CacheStats& other) {
+  hits += other.hits;
+  misses += other.misses;
+  insertions += other.insertions;
+  evictions += other.evictions;
+  bypasses += other.bypasses;
+  return *this;
+}
+
+void report_metrics(const CacheStats& stats, const std::string& prefix,
+                    MetricsSnapshot& out) {
+  out.add_counter(prefix + ".hits", stats.hits);
+  out.add_counter(prefix + ".misses", stats.misses);
+  out.add_counter(prefix + ".insertions", stats.insertions);
+  out.add_counter(prefix + ".evictions", stats.evictions);
+  out.add_counter(prefix + ".bypasses", stats.bypasses);
 }
 
 void BlockCache::touch_at(LastUseMap::iterator it, u64 step) {
@@ -64,7 +69,6 @@ BlockCache::InsertResult BlockCache::insert(BlockId id, u64 step,
   const u64 bytes = size_fn_(id);
   if (bytes > capacity_bytes_) {
     ++stats_.bypasses;
-    if (metrics_.bypasses) metrics_.bypasses->inc();
     result.bypassed = true;
     return result;
   }
@@ -90,7 +94,6 @@ BlockCache::InsertResult BlockCache::insert(BlockId id, u64 step,
     BlockId victim = policy_->choose_victim(evictable);
     if (victim == kInvalidBlock) {
       ++stats_.bypasses;
-      if (metrics_.bypasses) metrics_.bypasses->inc();
       result.bypassed = true;
       return result;
     }
@@ -107,7 +110,6 @@ BlockCache::InsertResult BlockCache::insert(BlockId id, u64 step,
     last_use_.erase(victim);
     policy_->on_evict(victim);
     ++stats_.evictions;
-    if (metrics_.evictions) metrics_.evictions->inc();
     // analyze: allow(hot-path-alloc): appends within the capacity reserved
     // right-sized above; one batch per capacity miss, dwarfed by the block
     // read that triggered it.
@@ -119,7 +121,6 @@ BlockCache::InsertResult BlockCache::insert(BlockId id, u64 step,
   occupancy_bytes_ += bytes;
   policy_->on_insert(id);
   ++stats_.insertions;
-  if (metrics_.insertions) metrics_.insertions->inc();
   result.inserted = true;
   return result;
 }
@@ -131,7 +132,6 @@ bool BlockCache::erase(BlockId id) {
   last_use_.erase(it);
   policy_->on_evict(id);
   ++stats_.evictions;
-  if (metrics_.evictions) metrics_.evictions->inc();
   return true;
 }
 

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -24,7 +25,15 @@ struct CacheStats {
     return lookups() ? static_cast<double>(misses) / static_cast<double>(lookups())
                      : 0.0;
   }
+
+  CacheStats& operator+=(const CacheStats& other);
 };
+
+/// Writes `stats` into `out` as the counters
+/// `<prefix>.{hits,misses,insertions,evictions,bypasses}` (e.g. prefix
+/// "cache.dram").
+void report_metrics(const CacheStats& stats, const std::string& prefix,
+                    MetricsSnapshot& out);
 
 /// One cache level: a byte-capacity container of block payloads, keyed by
 /// BlockId, with a pluggable replacement policy and the paper's per-step
@@ -90,21 +99,9 @@ class BlockCache {
   std::vector<BlockId> resident_blocks() const;
 
   const CacheStats& stats() const { return stats_; }
-  void note_miss() {
-    ++stats_.misses;
-    if (metrics_.misses) metrics_.misses->inc();
-  }
-  void note_hit() {
-    ++stats_.hits;
-    if (metrics_.hits) metrics_.hits->inc();
-  }
+  void note_miss() { ++stats_.misses; }
+  void note_hit() { ++stats_.hits; }
   void reset_stats() { stats_ = {}; }
-
-  /// Mirror every future stats increment into `registry` under
-  /// `<prefix>.{hits,misses,insertions,evictions,bypasses}` (e.g. prefix
-  /// "cache.dram"). Call once before use; pass nullptr to detach. The
-  /// registry must outlive the cache (instrument references are cached).
-  void bind_metrics(MetricsRegistry* registry, const std::string& prefix);
 
   ReplacementPolicy& policy() { return *policy_; }
 
@@ -119,22 +116,12 @@ class BlockCache {
   /// lookup instead of once for contains() and again for the update.
   void touch_at(LastUseMap::iterator it, u64 step);
 
-  /// Registry instruments mirroring stats_; all null until bind_metrics.
-  struct BoundMetrics {
-    MetricCounter* hits = nullptr;
-    MetricCounter* misses = nullptr;
-    MetricCounter* insertions = nullptr;
-    MetricCounter* evictions = nullptr;
-    MetricCounter* bypasses = nullptr;
-  };
-
   u64 capacity_bytes_;
   std::unique_ptr<ReplacementPolicy> policy_;
   SizeFn size_fn_;
   LastUseMap last_use_;
   u64 occupancy_bytes_ = 0;
   CacheStats stats_;
-  BoundMetrics metrics_;
   /// Victim-selection scratch reused across insert() calls: cleared, never
   /// shrunk, so the steady state selects victims without touching the
   /// allocator (the cache is thread-compatible, see class comment, so one

@@ -19,6 +19,45 @@ double HierarchyStats::total_miss_rate() const {
                  : 0.0;
 }
 
+HierarchyStats& HierarchyStats::operator+=(const HierarchyStats& other) {
+  VIZ_REQUIRE(level_names == other.level_names &&
+                  level.size() == other.level.size(),
+              "only stats of hierarchies with the same levels add up");
+  for (usize i = 0; i < level.size(); ++i) level[i] += other.level[i];
+  demand_backing_reads += other.demand_backing_reads;
+  demand_backing_bytes += other.demand_backing_bytes;
+  prefetch_backing_reads += other.prefetch_backing_reads;
+  prefetch_backing_bytes += other.prefetch_backing_bytes;
+  demand_io_time += other.demand_io_time;
+  prefetch_time += other.prefetch_time;
+  demand_requests += other.demand_requests;
+  prefetch_requests += other.prefetch_requests;
+  return *this;
+}
+
+void report_metrics(const HierarchyStats& stats, const std::string& prefix,
+                    MetricsSnapshot& out) {
+  VIZ_REQUIRE(stats.level_names.size() == stats.level.size(),
+              "every level of the stats needs a name");
+  out.add_counter(prefix + ".demand.requests", stats.demand_requests);
+  out.add_counter(prefix + ".prefetch.requests", stats.prefetch_requests);
+  out.add_counter(prefix + ".demand.backing_reads", stats.demand_backing_reads);
+  out.add_counter(prefix + ".demand.backing_bytes", stats.demand_backing_bytes);
+  out.add_counter(prefix + ".prefetch.backing_reads",
+                  stats.prefetch_backing_reads);
+  out.add_counter(prefix + ".prefetch.backing_bytes",
+                  stats.prefetch_backing_bytes);
+  out.add_gauge(prefix + ".demand.io_seconds", stats.demand_io_time);
+  out.add_gauge(prefix + ".prefetch.io_seconds", stats.prefetch_time);
+  for (usize i = 0; i < stats.level.size(); ++i) {
+    std::string name = stats.level_names[i];
+    for (char& c : name) {
+      if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+    }
+    report_metrics(stats.level[i], "cache." + name, out);
+  }
+}
+
 MemoryHierarchy::MemoryHierarchy(std::vector<LevelSpec> specs,
                                  DeviceModel backing, SizeFn block_size)
     : backing_(std::move(backing)), block_size_(std::move(block_size)) {
@@ -35,7 +74,6 @@ MemoryHierarchy::MemoryHierarchy(std::vector<LevelSpec> specs,
                            make_policy(spec.policy, std::max<usize>(1, cap_blocks)),
                            block_size_)});
   }
-  stats_.level.resize(levels_.size());
 }
 
 MemoryHierarchy MemoryHierarchy::paper_testbed(u64 dataset_bytes,
@@ -52,41 +90,6 @@ MemoryHierarchy MemoryHierarchy::paper_testbed(u64 dataset_bytes,
       {"SSD", ssd_device(), std::max<u64>(1, ssd_bytes), policy},
   };
   return MemoryHierarchy(std::move(specs), hdd_device(), std::move(block_size));
-}
-
-void MemoryHierarchy::bind_metrics(MetricsRegistry* registry,
-                                   const std::string& prefix) {
-  if (registry == nullptr) {
-    metrics_ = {};
-    for (auto& l : levels_) l.cache->bind_metrics(nullptr, "");
-    return;
-  }
-  metrics_.demand_requests = &registry->counter(prefix + ".demand.requests");
-  metrics_.prefetch_requests =
-      &registry->counter(prefix + ".prefetch.requests");
-  metrics_.demand_backing_reads =
-      &registry->counter(prefix + ".demand.backing_reads");
-  metrics_.demand_backing_bytes =
-      &registry->counter(prefix + ".demand.backing_bytes");
-  metrics_.prefetch_backing_reads =
-      &registry->counter(prefix + ".prefetch.backing_reads");
-  metrics_.prefetch_backing_bytes =
-      &registry->counter(prefix + ".prefetch.backing_bytes");
-  metrics_.demand_io_seconds = &registry->gauge(prefix + ".demand.io_seconds");
-  metrics_.prefetch_io_seconds =
-      &registry->gauge(prefix + ".prefetch.io_seconds");
-  metrics_.demand_latency = &registry->histogram(
-      prefix + ".demand.latency_seconds", latency_seconds_bounds());
-  metrics_.prefetch_latency = &registry->histogram(
-      prefix + ".prefetch.latency_seconds", latency_seconds_bounds());
-  for (auto& l : levels_) {
-    std::string name;
-    name.reserve(l.name.size());
-    for (char c : l.name) {
-      name += (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
-    }
-    l.cache->bind_metrics(registry, "cache." + name);
-  }
 }
 
 const std::string& MemoryHierarchy::level_name(usize level) const {
@@ -137,17 +140,9 @@ SimSeconds MemoryHierarchy::fetch_internal(BlockId id, u64 step, bool demand,
     if (demand) {
       ++stats_.demand_backing_reads;
       stats_.demand_backing_bytes += bytes;
-      if (metrics_.demand_backing_reads) {
-        metrics_.demand_backing_reads->inc();
-        metrics_.demand_backing_bytes->inc(bytes);
-      }
     } else {
       ++stats_.prefetch_backing_reads;
       stats_.prefetch_backing_bytes += bytes;
-      if (metrics_.prefetch_backing_reads) {
-        metrics_.prefetch_backing_reads->inc();
-        metrics_.prefetch_backing_bytes->inc(bytes);
-      }
     }
   }
 
@@ -173,12 +168,6 @@ SimSeconds MemoryHierarchy::fetch(BlockId id, u64 step, u64 protect_floor) {
   ++stats_.demand_requests;
   SimSeconds t = fetch_internal(id, step, /*demand=*/true, protect_floor);
   stats_.demand_io_time += t;
-  if (metrics_.demand_requests) {
-    metrics_.demand_requests->inc();
-    metrics_.demand_io_seconds->add(t);
-    metrics_.demand_latency->observe(t);
-  }
-  sync_level_stats();
   return t;
 }
 
@@ -192,12 +181,6 @@ SimSeconds MemoryHierarchy::prefetch(BlockId id, u64 step, u64 protect_floor) {
   ++stats_.prefetch_requests;
   SimSeconds t = fetch_internal(id, step, /*demand=*/false, protect_floor);
   stats_.prefetch_time += t;
-  if (metrics_.prefetch_requests) {
-    metrics_.prefetch_requests->inc();
-    metrics_.prefetch_io_seconds->add(t);
-    metrics_.prefetch_latency->observe(t);
-  }
-  sync_level_stats();
   return t;
 }
 
@@ -205,27 +188,26 @@ void MemoryHierarchy::preload(BlockId id) {
   for (usize i = levels_.size(); i-- > 0;) {
     levels_[i].cache->insert(id, 0);
   }
-  sync_level_stats();
 }
 
-void MemoryHierarchy::sync_level_stats() {
-  for (usize i = 0; i < levels_.size(); ++i) {
-    stats_.level[i] = levels_[i].cache->stats();
+HierarchyStats MemoryHierarchy::stats() const {
+  HierarchyStats out = stats_;
+  out.level_names.reserve(levels_.size());
+  out.level.reserve(levels_.size());
+  for (const Level& l : levels_) {
+    out.level_names.push_back(l.name);
+    out.level.push_back(l.cache->stats());
   }
-}
-
-void MemoryHierarchy::reset_stats() {
-  stats_ = {};
-  stats_.level.resize(levels_.size());
-  for (auto& l : levels_) l.cache->reset_stats();
+  return out;
 }
 
 void MemoryHierarchy::reset() {
   for (auto& l : levels_) {
     l.cache->clear();
     l.cache->policy().reset();
+    l.cache->reset_stats();
   }
-  reset_stats();
+  stats_ = {};
 }
 
 }  // namespace vizcache

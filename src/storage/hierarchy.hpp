@@ -21,7 +21,8 @@ struct LevelSpec {
 
 /// Aggregate timing/counter results of a hierarchy run.
 struct HierarchyStats {
-  std::vector<CacheStats> level;      ///< per caching level
+  std::vector<std::string> level_names;  ///< LevelSpec::name of each level
+  std::vector<CacheStats> level;         ///< per caching level
   u64 demand_backing_reads = 0;       ///< backing reads caused by demand fetches
   u64 demand_backing_bytes = 0;
   u64 prefetch_backing_reads = 0;     ///< backing reads caused by prefetches
@@ -45,7 +46,18 @@ struct HierarchyStats {
   /// all cache levels divided by lookups summed over all cache levels
   /// (a request only reaches level k+1 after missing level k).
   double total_miss_rate() const;
+
+  /// Adds `other` counter by counter and level by level; both must have the
+  /// same levels (e.g. the hierarchies of ParallelPipeline's workers).
+  HierarchyStats& operator+=(const HierarchyStats& other);
 };
+
+/// Writes `stats` into `out`: the counters
+/// `<prefix>.{demand,prefetch}.{requests,backing_reads,backing_bytes}`, the
+/// gauges `<prefix>.{demand,prefetch}.io_seconds`, and each level's
+/// CacheStats under `cache.<lowercased level name>` (e.g. `cache.dram.hits`).
+void report_metrics(const HierarchyStats& stats, const std::string& prefix,
+                    MetricsSnapshot& out);
 
 /// Multi-level memory-hierarchy simulator (paper Section V-A: DRAM cache
 /// over SSD cache over HDD backing store, cache ratio 0.5 per level).
@@ -100,16 +112,8 @@ class MemoryHierarchy {
 
   bool resident_fast(BlockId id) const { return levels_.front().cache->contains(id); }
 
-  const HierarchyStats& stats() const { return stats_; }
-  void reset_stats();
-
-  /// Mirror every future stats increment into `registry`: hierarchy-level
-  /// instruments under `<prefix>.{demand,prefetch}.*` and each cache level's
-  /// counters under `cache.<lowercased level name>.*` (e.g. `cache.dram.hits`).
-  /// Call once before use; pass nullptr to detach. The registry must outlive
-  /// the hierarchy.
-  void bind_metrics(MetricsRegistry* registry,
-                    const std::string& prefix = "hierarchy");
+  /// The hierarchy's counters, with each level's read from its cache.
+  HierarchyStats stats() const;
 
   /// Drop all cached blocks and stats (fresh run).
   void reset();
@@ -126,28 +130,12 @@ class MemoryHierarchy {
   SimSeconds fetch_internal(BlockId id, u64 step, bool demand,
                             u64 protect_floor);
 
-  /// Mirror per-cache counters into stats_.level.
-  void sync_level_stats();
-
-  /// Registry instruments mirroring stats_; all null until bind_metrics.
-  struct BoundMetrics {
-    MetricCounter* demand_requests = nullptr;
-    MetricCounter* prefetch_requests = nullptr;
-    MetricCounter* demand_backing_reads = nullptr;
-    MetricCounter* demand_backing_bytes = nullptr;
-    MetricCounter* prefetch_backing_reads = nullptr;
-    MetricCounter* prefetch_backing_bytes = nullptr;
-    MetricGauge* demand_io_seconds = nullptr;
-    MetricGauge* prefetch_io_seconds = nullptr;
-    MetricHistogram* demand_latency = nullptr;
-    MetricHistogram* prefetch_latency = nullptr;
-  };
-
   std::vector<Level> levels_;
   DeviceModel backing_;
   SizeFn block_size_;
+  /// The hierarchy's own counters; the levels' live in their caches, so
+  /// level_names and level stay empty here.
   HierarchyStats stats_;
-  BoundMetrics metrics_;
 };
 
 }  // namespace vizcache

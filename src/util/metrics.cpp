@@ -28,6 +28,19 @@ void require_valid_name(const std::string& name) {
               "metric name must be lowercase dotted [a-z0-9._]: '" + name + "'");
 }
 
+/// Inserts `entry` into the name-sorted `entries`, refusing a second entry
+/// of the same name.
+template <typename Entry>
+void insert_sorted(std::vector<Entry>& entries, Entry entry) {
+  require_valid_name(entry.name);
+  auto it = std::lower_bound(
+      entries.begin(), entries.end(), entry.name,
+      [](const Entry& e, const std::string& name) { return e.name < name; });
+  VIZ_REQUIRE(it == entries.end() || it->name != entry.name,
+              "metric already in snapshot: '" + entry.name + "'");
+  entries.insert(it, std::move(entry));
+}
+
 }  // namespace
 
 MetricHistogram::MetricHistogram(std::vector<double> bounds)
@@ -127,6 +140,14 @@ const HistogramSnapshot& MetricsSnapshot::histogram(
   throw InvalidArgument("no such histogram in snapshot: " + name);
 }
 
+void MetricsSnapshot::add_counter(const std::string& name, u64 value) {
+  insert_sorted(counters, CounterValue{name, value});
+}
+
+void MetricsSnapshot::add_gauge(const std::string& name, double value) {
+  insert_sorted(gauges, GaugeValue{name, value});
+}
+
 namespace {
 
 using JsonEntries = std::vector<std::pair<std::string, std::string>>;
@@ -218,6 +239,12 @@ MetricHistogram& MetricsRegistry::histogram(const std::string& name,
   return *slot;
 }
 
+void MetricsRegistry::add_snapshot_hook(SnapshotHook hook) {
+  VIZ_REQUIRE(hook != nullptr, "snapshot hook must be callable");
+  MutexLock lock(mutex_);
+  hooks_.push_back(std::move(hook));
+}
+
 void MetricsRegistry::reset() {
   // Collect instrument pointers under the registry lock, mutate after
   // releasing it: histogram reset takes the instrument's own leaf Mutex and
@@ -240,6 +267,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   std::vector<std::pair<std::string, const MetricCounter*>> counters;
   std::vector<std::pair<std::string, const MetricGauge*>> gauges;
   std::vector<std::pair<std::string, const MetricHistogram*>> histograms;
+  std::vector<SnapshotHook> hooks;
   {
     MutexLock lock(mutex_);
     for (const auto& [name, c] : counters_) counters.emplace_back(name, c.get());
@@ -247,6 +275,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     for (const auto& [name, h] : histograms_) {
       histograms.emplace_back(name, h.get());
     }
+    hooks = hooks_;
   }
   // std::map iteration already yields names sorted ascending.
   MetricsSnapshot snap;
@@ -262,6 +291,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   for (const auto& [name, h] : histograms) {
     snap.histograms.push_back({name, h->snapshot()});
   }
+  for (const SnapshotHook& hook : hooks) hook(snap);
   return snap;
 }
 

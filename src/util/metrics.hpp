@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -113,6 +114,13 @@ struct MetricsSnapshot {
   double gauge(const std::string& name) const;
   const HistogramSnapshot& histogram(const std::string& name) const;
 
+  /// Insert a counter / gauge at its name-sorted place: how a value that
+  /// lives in a component's stats struct, not in a registry, enters a
+  /// snapshot (each stats type's report_metrics). Throws InvalidArgument on a
+  /// malformed name or one this snapshot already holds.
+  void add_counter(const std::string& name, u64 value);
+  void add_gauge(const std::string& name, double value);
+
   /// Writes the snapshot as pretty-printed JSON (2-space indent) + '\n' to
   /// `path`: {"counters": {...}, "gauges": {...}, "histograms": {name:
   /// {count, sum, min, max, "buckets": {"le_<bound>": n, ..., "le_inf": n}}}}.
@@ -122,10 +130,13 @@ struct MetricsSnapshot {
 };
 
 /// Named metrics registry: the pipeline-observability substrate. Components
-/// (BlockCache, MemoryHierarchy, AsyncPrefetcher, the pipelines) register
-/// their instruments once by name and then increment without the registry
-/// lock — counter/gauge/histogram references stay valid for the registry's
-/// lifetime (instruments are heap-owned and never removed).
+/// with no stats struct of their own (the service, the net server, the
+/// pipelines) register their instruments once by name and then increment
+/// without the registry lock — counter/gauge/histogram references stay valid
+/// for the registry's lifetime (instruments are heap-owned and never
+/// removed). A component that keeps a stats struct registers nothing: its
+/// counters are read when a snapshot is taken, through a snapshot hook or a
+/// report_metrics call on the finished snapshot.
 ///
 /// Naming convention (see DESIGN.md "Observability"):
 /// `<component>.<subject>.<metric>` in lowercase [a-z0-9._] with unit
@@ -136,10 +147,14 @@ struct MetricsSnapshot {
 /// Thread-safety: registration takes the registry's leaf Mutex; increments
 /// on the returned instruments are atomic (counters/gauges) or take the
 /// instrument's own leaf Mutex (histograms). snapshot() collects instrument
-/// pointers under the registry lock and reads them after releasing it, so
-/// no two vizcache locks are ever held at once (DESIGN.md leaf-lock rule).
+/// pointers and hooks under the registry lock and reads and runs them after
+/// releasing it, so no two vizcache locks are ever held at once (DESIGN.md
+/// leaf-lock rule).
 class MetricsRegistry {
  public:
+  /// Writes values the registry does not own into a snapshot.
+  using SnapshotHook = std::function<void(MetricsSnapshot&)>;
+
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
@@ -153,8 +168,17 @@ class MetricsRegistry {
   MetricHistogram& histogram(const std::string& name,
                              std::vector<double> bounds = {}) EXCLUDES(mutex_);
 
+  /// Run `hook` in every later snapshot(), after the instruments are read
+  /// and with the registry lock released, so it may take its component's
+  /// own leaf locks, one at a time. It writes through
+  /// MetricsSnapshot::add_counter/add_gauge, under names no instrument of
+  /// this registry uses. What it reads must outlive the registry's last
+  /// snapshot().
+  void add_snapshot_hook(SnapshotHook hook) EXCLUDES(mutex_);
+
   /// Zero every instrument, keeping all registrations (and thus every
-  /// reference handed out) valid.
+  /// reference handed out) valid. Hooks stay: what they report belongs to
+  /// their components.
   void reset() EXCLUDES(mutex_);
 
   MetricsSnapshot snapshot() const EXCLUDES(mutex_);
@@ -171,6 +195,7 @@ class MetricsRegistry {
       GUARDED_BY(mutex_);
   std::map<std::string, std::unique_ptr<MetricHistogram>> histograms_
       GUARDED_BY(mutex_);
+  std::vector<SnapshotHook> hooks_ GUARDED_BY(mutex_);
 };
 
 }  // namespace vizcache

@@ -140,11 +140,19 @@ TEST_F(ParallelTest, TimelineHasPerWorkerLanesAndOverlap) {
   EXPECT_GT(r.timeline.overlap_seconds(StepEvent::Kind::kPrefetch,
                                        StepEvent::Kind::kRender),
             0.0);
-  // Shared registry: the metric counters aggregate across all workers.
+  // One snapshot: the hierarchy counters are the workers' stats, summed.
   EXPECT_EQ(r.metrics.counter("pipeline.workers"), 4u);
   EXPECT_EQ(r.metrics.counter("pipeline.steps"), r.steps.size());
   EXPECT_TRUE(r.metrics.has_counter("hierarchy.prefetch.requests"));
-  EXPECT_GT(r.metrics.counter("hierarchy.demand.requests"), 0u);
+  u64 demand = 0, dram_hits = 0;
+  for (usize w = 0; w < 4; ++w) {
+    const HierarchyStats s = p.worker_hierarchy(w).stats();
+    demand += s.demand_requests;
+    dram_hits += s.level[0].hits;
+  }
+  EXPECT_GT(demand, 0u);
+  EXPECT_EQ(r.metrics.counter("hierarchy.demand.requests"), demand);
+  EXPECT_EQ(r.metrics.counter("cache.dram.hits"), dram_hits);
 }
 
 TEST_F(ParallelTest, AppAwareNeedsTables) {

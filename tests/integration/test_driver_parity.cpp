@@ -126,8 +126,8 @@ INSTANTIATE_TEST_SUITE_P(
                       ParityCase{DatasetId::kLiftedRr, 42, 25.0, 30.0},
                       ParityCase{DatasetId::kLiftedRr, 7, 5.0, 10.0},
                       ParityCase{DatasetId::kLiftedRr, 7, 25.0, 30.0}),
-    [](const ::testing::TestParamInfo<ParityCase>& info) {
-      const ParityCase& c = info.param;
+    [](const ::testing::TestParamInfo<ParityCase>& param_info) {
+      const ParityCase& c = param_info.param;
       return std::string(dataset_name(c.dataset)) + "_seed" +
              std::to_string(c.seed) + "_" +
              std::to_string(static_cast<int>(c.step_min_deg)) + "to" +

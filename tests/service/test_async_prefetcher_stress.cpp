@@ -81,7 +81,9 @@ TEST(AsyncPrefetcherStress, ConcurrentRequestGetEvict) {
     std::uniform_int_distribution<BlockId> pick(0, block_count - 1);
     while (!stop.load(std::memory_order_acquire)) {
       auto payload = pf.get_if_ready(pick(rng));
-      if (payload) EXPECT_EQ(payload->size(), 8u * 8u * 8u);
+      if (payload) {
+        EXPECT_EQ(payload->size(), 8u * 8u * 8u);
+      }
       (void)pf.cached_blocks();
       (void)pf.stats();
       std::this_thread::yield();
@@ -101,7 +103,9 @@ TEST(AsyncPrefetcherStress, ConcurrentRequestGetEvict) {
   // After the dust settles every cached payload is still exact.
   for (BlockId id = 0; id < block_count; ++id) {
     auto payload = pf.get_if_ready(id);
-    if (payload) EXPECT_EQ(*payload, store.read_block(id, 0, 0));
+    if (payload) {
+      EXPECT_EQ(*payload, store.read_block(id, 0, 0));
+    }
   }
 }
 

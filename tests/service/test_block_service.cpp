@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/workbench.hpp"
@@ -106,6 +107,55 @@ TEST_F(BlockServiceTest, SessionLifecycleAndStepAccounting) {
   EXPECT_EQ(svc->metrics().counter("service.demand.requests").value(), demand);
   EXPECT_EQ(svc->metrics().counter("service.sessions.opened").value(), 1u);
   EXPECT_EQ(svc->metrics().counter("service.sessions.closed").value(), 1u);
+}
+
+// The registry keeps no copy of the shared hierarchy's or the coalescer's
+// counters: its snapshot reads their stats structs when taken. Paced, so
+// every miss claims its read and the coalescer counters move.
+TEST_F(BlockServiceTest, SnapshotReportsHierarchyAndCoalescerStats) {
+  ServiceConfig cfg = make_config();
+  cfg.leader_pace_seconds = 1e-6;
+  auto svc = make_service(cfg);
+  const auto id = svc->open_session();
+  ASSERT_TRUE(id.has_value());
+  for (const Camera& cam : path(20)) svc->step(*id, cam);
+  svc->close_session(*id);
+
+  const MetricsSnapshot m = svc->metrics().snapshot();
+  const HierarchyStats h = svc->hierarchy().stats();
+  const RequestCoalescer::Stats c = svc->hierarchy().coalescer().stats();
+  ASSERT_GT(c.claims, 0u);
+  EXPECT_EQ(m.counter("service.hierarchy.coalescer.claims"), c.claims);
+  EXPECT_EQ(m.counter("service.hierarchy.coalescer.suppressed"), c.suppressed);
+  EXPECT_EQ(m.counter("service.hierarchy.coalescer.completions"),
+            c.completions);
+  EXPECT_EQ(m.counter("service.hierarchy.coalescer.coalesced_waits"),
+            c.coalesced_waits);
+
+  EXPECT_EQ(m.counter("service.hierarchy.demand.requests"), h.demand_requests);
+  EXPECT_EQ(m.counter("service.hierarchy.prefetch.requests"),
+            h.prefetch_requests);
+  EXPECT_EQ(m.counter("service.hierarchy.demand.backing_reads"),
+            h.demand_backing_reads);
+  EXPECT_EQ(m.counter("service.hierarchy.demand.backing_bytes"),
+            h.demand_backing_bytes);
+  EXPECT_EQ(m.counter("service.hierarchy.prefetch.backing_reads"),
+            h.prefetch_backing_reads);
+  EXPECT_EQ(m.counter("service.hierarchy.prefetch.backing_bytes"),
+            h.prefetch_backing_bytes);
+  EXPECT_EQ(m.gauge("service.hierarchy.demand.io_seconds"), h.demand_io_time);
+  EXPECT_EQ(m.gauge("service.hierarchy.prefetch.io_seconds"), h.prefetch_time);
+  ASSERT_EQ(h.level.size(), 2u);
+  for (usize i = 0; i < h.level.size(); ++i) {
+    const std::string level = i == 0 ? "cache.dram" : "cache.ssd";
+    EXPECT_EQ(m.counter(level + ".hits"), h.level[i].hits);
+    EXPECT_EQ(m.counter(level + ".misses"), h.level[i].misses);
+    EXPECT_EQ(m.counter(level + ".insertions"), h.level[i].insertions);
+    EXPECT_EQ(m.counter(level + ".evictions"), h.level[i].evictions);
+    EXPECT_EQ(m.counter(level + ".bypasses"), h.level[i].bypasses);
+  }
+  // The service's own instruments count the same demand.
+  EXPECT_EQ(m.counter("service.demand.requests"), h.demand_requests);
 }
 
 // Regression: the id counter is a u32, and open_session used to ignore the

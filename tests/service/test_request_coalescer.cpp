@@ -68,17 +68,17 @@ TEST(RequestCoalescer, WaitBlocksUntilLeaderCompletes) {
   EXPECT_EQ(rc.stats().coalesced_waits, 1u);
 }
 
-TEST(RequestCoalescer, BindMetricsMirrorsCounters) {
+TEST(RequestCoalescer, ReportMetricsWritesEveryCounter) {
   RequestCoalescer rc;
-  MetricsRegistry registry;
-  rc.bind_metrics(&registry, "svc.coalescer");
   EXPECT_TRUE(rc.try_claim(1));
   EXPECT_FALSE(rc.try_claim(1));
   rc.complete(1);
-  EXPECT_EQ(registry.counter("svc.coalescer.claims").value(), 1u);
-  EXPECT_EQ(registry.counter("svc.coalescer.suppressed").value(), 1u);
-  EXPECT_EQ(registry.counter("svc.coalescer.completions").value(), 1u);
-  EXPECT_EQ(registry.counter("svc.coalescer.coalesced_waits").value(), 0u);
+  MetricsSnapshot snap;
+  report_metrics(rc.stats(), "svc.coalescer", snap);
+  EXPECT_EQ(snap.counter("svc.coalescer.claims"), 1u);
+  EXPECT_EQ(snap.counter("svc.coalescer.suppressed"), 1u);
+  EXPECT_EQ(snap.counter("svc.coalescer.completions"), 1u);
+  EXPECT_EQ(snap.counter("svc.coalescer.coalesced_waits"), 0u);
 }
 
 }  // namespace

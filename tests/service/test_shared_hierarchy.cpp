@@ -231,17 +231,5 @@ TEST(SharedHierarchy, DropResidentKeepsMissingIdsInOrder) {
             (std::vector<BlockId>{1, 9, 3}));
 }
 
-// A paced leader claims its read; the bound instrument mirrors the claim.
-TEST(SharedHierarchy, BindMetricsExposesCoalescerInstruments) {
-  SharedHierarchy sh(make_two_level(2, 4), /*leader_pace_seconds=*/1e-6);
-  MetricsRegistry registry;
-  sh.bind_metrics(&registry, "service.hierarchy");
-  const u64 e = sh.begin_step();
-  sh.fetch(1, e);
-  sh.end_step(e);
-  EXPECT_EQ(registry.counter("service.hierarchy.demand.requests").value(), 1u);
-  EXPECT_EQ(registry.counter("service.hierarchy.coalescer.claims").value(), 1u);
-}
-
 }  // namespace
 }  // namespace vizcache

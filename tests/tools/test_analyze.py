@@ -449,6 +449,20 @@ class MetricsContractTest(unittest.TestCase):
         # direction 3: the escape hatch itself goes stale
         self.assertIn("matches no registration", proc.stderr)
 
+    def test_report_spelling_counts_in_both_directions(self):
+        # report_metrics writes `out.add_counter(prefix + ".hits", ...)`:
+        # that suffix covers the asserted cache.*.hits (direction 1), and a
+        # full add_counter literal must be asserted like a registration
+        # (direction 2).
+        proc = subprocess.run(
+            self.TOOL + ["--root",
+                         os.path.join(FIXTURES, "metrics_contract_report")],
+            capture_output=True, text=True)
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        self.assertNotIn("'cache.dram.hits' is asserted", proc.stderr)
+        self.assertIn("'cache.dram.misses' is asserted", proc.stderr)
+        self.assertIn("'fixture.total' is registered", proc.stderr)
+
     def test_missing_tree_is_a_tool_error(self):
         proc = subprocess.run(self.TOOL + ["--src", "no_such_dir"],
                               capture_output=True, text=True)

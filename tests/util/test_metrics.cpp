@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <fstream>
+#include <future>
 #include <iterator>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -114,6 +117,80 @@ TEST(MetricsRegistry, ResetZeroesButKeepsRegistrations) {
   EXPECT_EQ(snap.counter("x.count"), 0u);
   EXPECT_DOUBLE_EQ(snap.gauge("x.gauge"), 0.0);
   EXPECT_EQ(snap.histogram("x.hist").count, 0u);
+}
+
+// A hook's values are read when the snapshot is taken and merged into the
+// registry's own, every list still sorted by name.
+TEST(MetricsRegistry, SnapshotHookMergesInNameOrder) {
+  MetricsRegistry reg;
+  reg.counter("b.registry").inc(2);
+  reg.gauge("m.registry").set(1.0);
+  u64 external = 5;
+  reg.add_snapshot_hook([&external](MetricsSnapshot& out) {
+    out.add_counter("c.hook", 7);
+    out.add_counter("a.hook", external);
+    out.add_gauge("z.hook", 0.25);
+  });
+  MetricsSnapshot snap = reg.snapshot();
+  std::vector<std::string> counters, gauges;
+  for (const auto& c : snap.counters) counters.push_back(c.name);
+  for (const auto& g : snap.gauges) gauges.push_back(g.name);
+  EXPECT_EQ(counters,
+            (std::vector<std::string>{"a.hook", "b.registry", "c.hook"}));
+  EXPECT_EQ(gauges, (std::vector<std::string>{"m.registry", "z.hook"}));
+  EXPECT_EQ(snap.counter("a.hook"), 5u);
+  EXPECT_EQ(snap.counter("b.registry"), 2u);
+  EXPECT_DOUBLE_EQ(snap.gauge("z.hook"), 0.25);
+  external = 6;
+  EXPECT_EQ(reg.snapshot().counter("a.hook"), 6u);
+}
+
+TEST(MetricsRegistry, SnapshotHookSurvivesReset) {
+  MetricsRegistry reg;
+  reg.counter("x.count").inc(3);
+  reg.add_snapshot_hook(
+      [](MetricsSnapshot& out) { out.add_counter("x.hooked", 9); });
+  reg.reset();
+  const MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counter("x.count"), 0u);
+  EXPECT_EQ(snap.counter("x.hooked"), 9u);
+}
+
+// While the hook runs, another thread registers an instrument: that takes the
+// registry lock, so it gets through only if snapshot() released it. A held
+// lock makes the hook time out and report 0 instead of hanging the test.
+TEST(MetricsRegistry, SnapshotHookRunsWithTheRegistryLockFree) {
+  MetricsRegistry reg;
+  std::promise<void> in_hook;
+  std::promise<void> registered;
+  std::future<void> registered_f = registered.get_future();
+  reg.add_snapshot_hook([&](MetricsSnapshot& out) {
+    in_hook.set_value();
+    const bool lock_free = registered_f.wait_for(std::chrono::seconds(10)) ==
+                           std::future_status::ready;
+    out.add_counter("hook.lock_free", lock_free ? 1 : 0);
+  });
+  std::thread other([&] {
+    in_hook.get_future().wait();
+    reg.counter("late.counter");
+    registered.set_value();
+  });
+  const MetricsSnapshot snap = reg.snapshot();
+  other.join();
+  EXPECT_EQ(snap.counter("hook.lock_free"), 1u);
+}
+
+TEST(MetricsSnapshot, AddRejectsTakenAndMalformedNames) {
+  MetricsRegistry reg;
+  reg.counter("a.one");
+  reg.add_snapshot_hook(
+      [](MetricsSnapshot& out) { out.add_counter("a.one", 1); });
+  EXPECT_THROW(reg.snapshot(), InvalidArgument);
+  MetricsSnapshot snap;
+  snap.add_gauge("g.x", 1.0);
+  EXPECT_THROW(snap.add_gauge("g.x", 2.0), InvalidArgument);
+  EXPECT_THROW(snap.add_counter("Bad Name", 1), InvalidArgument);
+  EXPECT_DOUBLE_EQ(snap.gauge("g.x"), 1.0);
 }
 
 // Golden snapshot of the metrics export that check_metrics_snapshot.py

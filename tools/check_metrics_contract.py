@@ -6,9 +6,11 @@ fixed set of instrument names. Nothing used to tie those strings to the
 names the C++ actually registers — rename a counter on one side and the
 snapshot check silently stops covering it. This tool closes the loop by
 extracting every `counter("...")` / `gauge("...")` / `histogram("...")`
-registration literal from src/ and diffing it against the union of the
-name lists check_metrics_snapshot.py asserts across all modes (default,
---app-aware, --service, --net). Drift in either direction fails:
+registration literal from src/, and every `add_counter("...")` /
+`add_gauge("...")` a stats struct's report_metrics writes into a snapshot,
+and diffing them against the union of the name lists
+check_metrics_snapshot.py asserts across all modes (default, --app-aware,
+--service, --net). Drift in either direction fails:
 
   direction 1  an asserted name with no matching registration in src/ —
                the snapshot check would always fail (or the name was
@@ -18,10 +20,10 @@ name lists check_metrics_snapshot.py asserts across all modes (default,
                instruments must either join a snapshot contract or be
                explicitly recorded as unasserted, so coverage cannot rot
 
-Component-prefixed registrations (`registry->counter(prefix + ".hits")`)
-are matched by suffix for direction 1; they are exempt from direction 2
-because the set of prefixes is a runtime property (each BlockCache level,
-each MemoryHierarchy instance names its own). That is the documented
+Component-prefixed names (`out.add_counter(prefix + ".hits", ...)`) are
+matched by suffix for direction 1; they are exempt from direction 2
+because the set of prefixes is a runtime property (each cache level, each
+hierarchy's reporter names its own). That is the documented
 under-approximation: a composed name can only drift via its suffix.
 
 Exit status: 0 in sync, 1 drift, 2 tool error (missing tree, bad flags).
@@ -59,13 +61,13 @@ KNOWN_UNASSERTED = {
 }
 
 _KINDS = ("counter", "gauge", "histogram")
+# A registry registers `kind(...)`; a report_metrics writes `add_kind(...)`.
+_KIND = r'\b(?:add_)?(counter|gauge|histogram)'
 # `kind ( "name" ` — \s* crosses newlines (multi-line registration calls).
-_FULL_RE = re.compile(
-    r'\b(counter|gauge|histogram)\s*\(\s*"([^"]+)"')
+_FULL_RE = re.compile(_KIND + r'\s*\(\s*"([^"]+)"')
 # `kind ( prefix + ".suffix"` — component-prefixed registration.
 _COMPOSED_RE = re.compile(
-    r'\b(counter|gauge|histogram)\s*\(\s*[A-Za-z_][A-Za-z0-9_]*\s*'
-    r'\+\s*"(\.[^"]+)"')
+    _KIND + r'\s*\(\s*[A-Za-z_][A-Za-z0-9_]*\s*\+\s*"(\.[^"]+)"')
 
 
 def _strip_comments(text: str) -> str:

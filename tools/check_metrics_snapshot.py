@@ -4,8 +4,9 @@
 CI runs the fig13 bench in quick mode, and ctest runs the serving demos
 (multi_user_demo, net_demo); each exported `*.metrics.json` goes through
 this script: a snapshot that silently lost one of the load-bearing
-instruments (a bind_metrics call dropped, a name renamed on one side only)
-fails the build instead of producing an empty dashboard.
+instruments (a report_metrics call or a snapshot hook dropped, a name
+renamed on one side only) fails the build instead of producing an empty
+dashboard.
 
 Usage:
   check_metrics_snapshot.py snapshot.json [--app-aware | --service | --net]
