@@ -23,6 +23,8 @@ struct StepResult {
   /// Step wall time. Baselines: io + render. App-aware: io + max(render,
   /// lookup + prefetch) — prefetching overlaps rendering (paper Section V-D).
   SimSeconds total_time = 0.0;
+
+  bool operator==(const StepResult&) const = default;
 };
 
 /// The Algorithm 1 kernel's view of a hierarchy, bound by each driver to its

@@ -79,12 +79,7 @@ LodRunResult LodPipeline::run(const CameraPath& path) {
     result.steps.push_back(sr);
   }
 
-  result.fast_miss_rate = hierarchy_.stats().fast_miss_rate();
-  for (const StepResult& s : result.steps) {
-    result.io_time += s.io_time;
-    result.render_time += s.render_time;
-    result.total_time += s.total_time;
-  }
+  result.summarize(hierarchy_.stats());
   result.mean_fidelity =
       fidelity_blocks ? fidelity_sum / static_cast<double>(fidelity_blocks)
                       : 1.0;

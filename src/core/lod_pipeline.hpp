@@ -20,13 +20,9 @@ struct LodSelector {
   usize level_for(double dist) const;
 };
 
-/// Per-run results of the LOD baseline.
-struct LodRunResult {
-  std::vector<StepResult> steps;
-  double fast_miss_rate = 0.0;
-  SimSeconds io_time = 0.0;
-  SimSeconds render_time = 0.0;
-  SimSeconds total_time = 0.0;
+/// Per-run results of the LOD baseline: a RunResult over the fetched coarse
+/// keys, plus what the level choice cost and saved.
+struct LodRunResult : RunResult {
   u64 bytes_fetched = 0;      ///< demand bytes served below the fast level
   /// Mean fraction of full resolution rendered, weighted per fine block:
   /// level l contributes (1/8)^l. 1.0 = everything at full res.

@@ -29,7 +29,6 @@ ParallelPipeline::ParallelPipeline(const BlockGrid& grid, Partition partition,
         std::max<u64>(1, grid.total_bytes() / n), cache_ratio, config_.policy,
         [g = &grid](BlockId id) { return g->block_bytes(id); }));
   }
-  metrics_ = std::make_unique<MetricsRegistry>();
 }
 
 MemoryHierarchy& ParallelPipeline::worker_hierarchy(usize w) {
@@ -41,13 +40,10 @@ ParallelRunResult ParallelPipeline::run(const CameraPath& path) {
   VIZ_REQUIRE(!path.empty(), "empty camera path");
   const usize n = partition_.worker_count();
   for (MemoryHierarchy& h : hierarchies_) h.reset();
-  metrics_->reset();
 
   ParallelRunResult result;
   result.workers.assign(n, {});
   result.steps.reserve(path.size());
-  MetricHistogram& step_hist = metrics_->histogram(
-      "pipeline.step.total_seconds", latency_seconds_bounds());
   SimSeconds clock = 0.0;
 
   // Every block list is split by owner: each worker runs Algorithm 1 over
@@ -138,32 +134,17 @@ ParallelRunResult ParallelPipeline::run(const CameraPath& path) {
       }
     }
 
-    step_hist.observe(sr.total_time);
     clock += sr.total_time;
     result.steps.push_back(sr);
   }
 
   HierarchyStats summed = hierarchies_.front().stats();
   for (usize w = 1; w < n; ++w) summed += hierarchies_[w].stats();
-  result.fast_miss_rate = summed.fast_miss_rate();
-  for (const StepResult& s : result.steps) {
-    result.io_time += s.io_time;
-    result.prefetch_time += s.prefetch_time;
-    result.render_time += s.render_time;
-    result.total_time += s.total_time;
-  }
+  result.summarize(summed);
   result.fetch_speedup =
       result.io_time > 0.0 ? summed_io_work / result.io_time : 1.0;
-  metrics_->counter("pipeline.steps").inc(path.size());
-  metrics_->counter("pipeline.workers").inc(n);
-  metrics_->gauge("pipeline.io_seconds").set(result.io_time);
-  metrics_->gauge("pipeline.prefetch_seconds").set(result.prefetch_time);
-  metrics_->gauge("pipeline.render_seconds").set(result.render_time);
-  metrics_->gauge("pipeline.total_seconds").set(result.total_time);
-  metrics_->gauge("pipeline.fast_miss_rate").set(result.fast_miss_rate);
-  metrics_->gauge("pipeline.fetch_speedup").set(result.fetch_speedup);
-  result.metrics = metrics_->snapshot();
-  report_metrics(summed, "hierarchy", result.metrics);
+  result.metrics.add_counter("pipeline.workers", n);
+  result.metrics.add_gauge("pipeline.fetch_speedup", result.fetch_speedup);
   return result;
 }
 

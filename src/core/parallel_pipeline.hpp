@@ -13,19 +13,11 @@ struct WorkerStats {
   double entropy_load = 0.0;  ///< summed entropy of demand-fetched blocks
 };
 
-/// Whole-run result of a parallel exploration.
-struct ParallelRunResult {
-  std::vector<StepResult> steps;
+/// Whole-run result of a parallel exploration: a RunResult whose steps are
+/// the workers' makespans (spans on one lane per worker, `hierarchy` the
+/// workers' stats summed), plus the per-worker split.
+struct ParallelRunResult : RunResult {
   std::vector<WorkerStats> workers;
-  StepTimeline timeline;          ///< per-worker spans on the simulated clock
-  MetricsSnapshot metrics;        ///< run-end registry snapshot + the
-                                  ///< workers' summed hierarchy stats
-  double fast_miss_rate = 0.0;
-  SimSeconds io_time = 0.0;       ///< sum over steps of per-step makespans
-  SimSeconds prefetch_time = 0.0; ///< idem for prefetch makespans
-  SimSeconds render_time = 0.0;
-  SimSeconds total_time = 0.0;
-
   /// Ratio of the summed single-worker work to the makespan-time — the
   /// effective parallel speedup achieved by the partitioning.
   double fetch_speedup = 1.0;
@@ -58,20 +50,12 @@ class ParallelPipeline {
   /// Worker `w`'s slice of the hierarchy (tests inspect per-worker caches).
   MemoryHierarchy& worker_hierarchy(usize w);
 
-  /// The pipeline's metric registry (pipeline instruments); reset at the
-  /// start of every run(). ParallelRunResult::metrics is its end-of-run
-  /// snapshot with the workers' hierarchy stats, summed, reported into it
-  /// under the one prefix `hierarchy` (and `cache.*`).
-  MetricsRegistry& metrics() { return *metrics_; }
-
  private:
   Partition partition_;
   PipelineConfig config_;
   Algorithm1Setup algorithm1_;
   BlockBoundsIndex bounds_;
   std::vector<MemoryHierarchy> hierarchies_;  ///< one per worker
-  /// Heap-owned for movability (see VizPipeline::metrics_).
-  std::unique_ptr<MetricsRegistry> metrics_;
 };
 
 }  // namespace vizcache

@@ -11,13 +11,24 @@ void RunResult::summarize(const HierarchyStats& stats) {
   hierarchy = stats;
   fast_miss_rate = stats.fast_miss_rate();
   total_miss_rate = stats.total_miss_rate();
+  MetricHistogram step_hist(latency_seconds_bounds());
   for (const StepResult& s : steps) {
     io_time += s.io_time;
     lookup_time += s.lookup_time;
     prefetch_time += s.prefetch_time;
     render_time += s.render_time;
     total_time += s.total_time;
+    step_hist.observe(s.total_time);
   }
+  metrics.add_counter("pipeline.steps", steps.size());
+  metrics.add_gauge("pipeline.io_seconds", io_time);
+  metrics.add_gauge("pipeline.lookup_seconds", lookup_time);
+  metrics.add_gauge("pipeline.prefetch_seconds", prefetch_time);
+  metrics.add_gauge("pipeline.render_seconds", render_time);
+  metrics.add_gauge("pipeline.total_seconds", total_time);
+  metrics.add_gauge("pipeline.fast_miss_rate", fast_miss_rate);
+  metrics.add_histogram("pipeline.step.total_seconds", step_hist.snapshot());
+  report_metrics(hierarchy, "hierarchy", metrics);
 }
 
 VizPipeline::VizPipeline(const BlockGrid& grid, MemoryHierarchy hierarchy,
@@ -29,8 +40,7 @@ VizPipeline::VizPipeline(const BlockGrid& grid, MemoryHierarchy hierarchy,
       algorithm1_{&grid, table, importance, config.app_aware,
                   config.sigma_bits, config.render_model, config.lookup_cost},
       metadata_(metadata),
-      bounds_(grid),
-      metrics_(std::make_unique<MetricsRegistry>()) {
+      bounds_(grid) {
   if (config_.app_aware) {
     VIZ_REQUIRE(table != nullptr, "app-aware pipeline needs T_visible");
     VIZ_REQUIRE(importance != nullptr, "app-aware pipeline needs T_important");
@@ -43,7 +53,6 @@ RunResult VizPipeline::run(const CameraPath& path,
   VIZ_REQUIRE(schedule == nullptr || metadata_ != nullptr,
               "query schedules require a block metadata table");
   hierarchy_.reset();
-  metrics_->reset();
 
   // Algorithm 1 lines 1-7: importance preloading.
   if (config_.app_aware && config_.preload_important) {
@@ -54,8 +63,6 @@ RunResult VizPipeline::run(const CameraPath& path,
 
   RunResult result;
   result.steps.reserve(path.size());
-  MetricHistogram& step_hist = metrics_->histogram(
-      "pipeline.step.total_seconds", latency_seconds_bounds());
   SimSeconds clock = 0.0;
   // Steps are 1-based so preloaded blocks (step 0) are evictable at step 1.
   for (usize i = 0; i < path.size(); ++i) {
@@ -67,7 +74,6 @@ RunResult VizPipeline::run(const CameraPath& path,
     const std::vector<BlockId> visible =
         query ? query_visible_blocks(path[i], bounds_, *metadata_, *query)
               : bounds_.visible_blocks(path[i]);
-    for (BlockId id : visible) result.trace.record(step, id);
     std::span<const BlockId> predicted;
     std::vector<BlockId> matching;
     if (config_.app_aware) {
@@ -84,21 +90,11 @@ RunResult VizPipeline::run(const CameraPath& path,
     const StepResult sr =
         algorithm1_step(algorithm1_, port, step, visible, predicted);
     result.steps.push_back(sr);
-    step_hist.observe(sr.total_time);
     record_step_spans(result.timeline, sr, 0, clock, config_.app_aware);
     clock += sr.total_time;
   }
 
   result.summarize(hierarchy_.stats());
-  metrics_->counter("pipeline.steps").inc(path.size());
-  metrics_->gauge("pipeline.io_seconds").set(result.io_time);
-  metrics_->gauge("pipeline.lookup_seconds").set(result.lookup_time);
-  metrics_->gauge("pipeline.prefetch_seconds").set(result.prefetch_time);
-  metrics_->gauge("pipeline.render_seconds").set(result.render_time);
-  metrics_->gauge("pipeline.total_seconds").set(result.total_time);
-  metrics_->gauge("pipeline.fast_miss_rate").set(result.fast_miss_rate);
-  result.metrics = metrics_->snapshot();
-  report_metrics(result.hierarchy, "hierarchy", result.metrics);
   return result;
 }
 

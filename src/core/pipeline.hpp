@@ -11,20 +11,20 @@
 #include "geom/path.hpp"
 #include "render/render_model.hpp"
 #include "storage/hierarchy.hpp"
-#include "storage/trace.hpp"
 #include "util/metrics.hpp"
 #include "util/step_timeline.hpp"
 
 namespace vizcache {
 
-/// Whole-run aggregate.
+/// Whole-run aggregate: the one record of a run. A driver appends each step
+/// (and, where it keeps a timeline, its spans) as it goes and finishes
+/// through summarize(), which derives every other field from `steps` and the
+/// hierarchy's stats.
 struct RunResult {
   std::vector<StepResult> steps;
   HierarchyStats hierarchy;
-  TraceRecorder trace;          ///< demand accesses, for Belady replays
   StepTimeline timeline;        ///< per-step spans on the simulated clock
-  MetricsSnapshot metrics;      ///< run-end registry snapshot, with
-                                ///< `hierarchy` reported into it
+  MetricsSnapshot metrics;      ///< the run's snapshot, written by summarize()
 
   double fast_miss_rate = 0.0;  ///< DRAM-level miss fraction
   double total_miss_rate = 0.0; ///< paper's multi-level miss rate
@@ -37,7 +37,12 @@ struct RunResult {
   /// The paper's Fig. 7b metric: demand I/O plus table-lookup overhead.
   SimSeconds io_plus_lookup() const { return io_time + lookup_time; }
 
-  /// Fills the aggregates from `steps` and the hierarchy's end-of-run stats.
+  /// Fills the aggregates from `steps` and the hierarchy's end-of-run stats,
+  /// then writes them into `metrics`: the counter `pipeline.steps`, the
+  /// gauges `pipeline.{io,lookup,prefetch,render,total}_seconds` and
+  /// `pipeline.fast_miss_rate`, the histogram `pipeline.step.total_seconds`
+  /// of the steps' total times, and `stats` under the prefix `hierarchy`
+  /// (report_metrics). Call once, when the last step is in.
   void summarize(const HierarchyStats& stats);
 };
 
@@ -86,22 +91,12 @@ class VizPipeline {
 
   MemoryHierarchy& hierarchy() { return hierarchy_; }
 
-  /// The pipeline's metric registry (pipeline instruments). Reset at the
-  /// start of every run(); RunResult::metrics is its end-of-run snapshot
-  /// with the hierarchy's stats reported into it (`hierarchy.*`,
-  /// `cache.*`). Exposed so harnesses can add their own instruments to the
-  /// same snapshot.
-  MetricsRegistry& metrics() { return *metrics_; }
-
  private:
   MemoryHierarchy hierarchy_;
   PipelineConfig config_;
   Algorithm1Setup algorithm1_;
   const BlockMetadataTable* metadata_;
   BlockBoundsIndex bounds_;
-  /// Heap-owned so the pipeline stays movable (MetricsRegistry holds a
-  /// Mutex).
-  std::unique_ptr<MetricsRegistry> metrics_;
 };
 
 }  // namespace vizcache

@@ -60,7 +60,6 @@ RunResult TemporalPipeline::run(const CameraPath& path) {
     const usize t = timestep_at(i);
     const BlockId base = TimeBlockKey::pack(0, t, nblocks);
     const std::vector<BlockId> visible = bounds_.visible_blocks(path[i]);
-    for (BlockId id : visible) result.trace.record(step, base + id);
     MemoryPort port(hierarchy_, step, base);
     if (!config_.app_aware) {
       result.steps.push_back(

@@ -27,9 +27,4 @@ void BlockBoundsIndex::mark_visible(const Camera& camera,
   }
 }
 
-std::vector<BlockId> compute_visible_blocks(const Camera& camera,
-                                            const BlockGrid& grid) {
-  return BlockBoundsIndex(grid).visible_blocks(camera);
-}
-
 }  // namespace vizcache

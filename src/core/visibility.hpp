@@ -34,8 +34,4 @@ class BlockBoundsIndex {
   BlockOctree octree_;
 };
 
-/// Convenience one-shot wrapper.
-std::vector<BlockId> compute_visible_blocks(const Camera& camera,
-                                            const BlockGrid& grid);
-
 }  // namespace vizcache

@@ -142,6 +142,21 @@ VisibilityTable VisibilityTable::load(const std::string& path) {
   table.spec_.vicinal_samples = static_cast<usize>(scal[3]);
   u64 n = 0;
   in.read(reinterpret_cast<char*>(&n), sizeof(n));
+  if (!in) throw IoError("visibility table read failed: " + path);
+  // query() indexes entries_ through the lattice, so the lattice must be one
+  // build() accepts and must number exactly the file's entries.
+  const OmegaSamplingSpec& omega = table.spec_.omega;
+  if (lattice[0] == 0 || lattice[1] == 0 || lattice[2] == 0 ||
+      !(omega.distance_min > 0.0 && omega.distance_max >= omega.distance_min)) {
+    throw IoError("visibility table has an invalid sampling lattice: " + path);
+  }
+  u64 lattice_size = 0;
+  if (__builtin_mul_overflow(lattice[0], lattice[1], &lattice_size) ||
+      __builtin_mul_overflow(lattice_size, lattice[2], &lattice_size) ||
+      lattice_size != n) {
+    throw IoError("visibility table lattice does not match its " +
+                  std::to_string(n) + " entries: " + path);
+  }
   table.positions_.resize(n);
   table.entries_.resize(n);
   for (usize i = 0; i < n; ++i) {

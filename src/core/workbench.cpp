@@ -115,10 +115,14 @@ RunResult Workbench::run_app_aware(const CameraPath& path,
 }
 
 RunResult Workbench::run_belady(const CameraPath& path) const {
-  // Pass 1: record the demand trace (identical for every non-prefetching
-  // policy since demand accesses are the exact visible sets).
-  RunResult lru = run_baseline(PolicyKind::kLru, path);
-  std::vector<BlockId> trace = lru.trace.id_sequence();
+  // Belady's reference string is the demand sequence: each step's exact
+  // visible set, in the order every pipeline run fetches it.
+  const BlockBoundsIndex bounds(store_->grid());
+  std::vector<BlockId> trace;
+  for (const Camera& camera : path) {
+    const std::vector<BlockId> visible = bounds.visible_blocks(camera);
+    trace.insert(trace.end(), visible.begin(), visible.end());
+  }
 
   PipelineConfig cfg;
   cfg.app_aware = false;

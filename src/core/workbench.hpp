@@ -83,8 +83,8 @@ class Workbench {
   RunResult run_app_aware(const CameraPath& path,
                           const QuerySchedule* schedule = nullptr) const;
 
-  /// Offline-optimal upper bound: records the demand trace with an LRU run,
-  /// then replays it under Belady's MIN at every level.
+  /// Offline-optimal upper bound: Belady's MIN at every level, fed the
+  /// path's demand sequence (each step's visible set, in order).
   RunResult run_belady(const CameraPath& path) const;
 
   /// A cold paper-testbed hierarchy over this dataset at the spec's ratio.

@@ -27,6 +27,7 @@ struct CacheStats {
   }
 
   CacheStats& operator+=(const CacheStats& other);
+  bool operator==(const CacheStats&) const = default;
 };
 
 /// Writes `stats` into `out` as the counters

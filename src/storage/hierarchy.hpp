@@ -50,6 +50,7 @@ struct HierarchyStats {
   /// Adds `other` counter by counter and level by level; both must have the
   /// same levels (e.g. the hierarchies of ParallelPipeline's workers).
   HierarchyStats& operator+=(const HierarchyStats& other);
+  bool operator==(const HierarchyStats&) const = default;
 };
 
 /// Writes `stats` into `out`: the counters

@@ -35,14 +35,6 @@ void Histogram::add(std::span<const double> values) {
   for (double v : values) add(v);
 }
 
-void Histogram::merge(const Histogram& other) {
-  VIZ_REQUIRE(other.counts_.size() == counts_.size() && other.lo_ == lo_ &&
-                  other.hi_ == hi_,
-              "histogram binning mismatch in merge");
-  for (usize i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  total_ += other.total_;
-}
-
 void Histogram::clear() {
   std::fill(counts_.begin(), counts_.end(), 0);
   total_ = 0;

@@ -20,9 +20,6 @@ class Histogram {
   void add(std::span<const float> values);
   void add(std::span<const double> values);
 
-  /// Merge another histogram with identical binning.
-  void merge(const Histogram& other);
-
   void clear();
 
   usize bin_count() const { return counts_.size(); }

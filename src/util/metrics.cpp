@@ -92,13 +92,6 @@ HistogramSnapshot MetricHistogram::snapshot() const {
   return snap;
 }
 
-void MetricHistogram::reset() {
-  MutexLock lock(mutex_);
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
-  sum_ = min_ = max_ = 0.0;
-}
-
 std::vector<double> latency_seconds_bounds() {
   return {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0};
 }
@@ -146,6 +139,11 @@ void MetricsSnapshot::add_counter(const std::string& name, u64 value) {
 
 void MetricsSnapshot::add_gauge(const std::string& name, double value) {
   insert_sorted(gauges, GaugeValue{name, value});
+}
+
+void MetricsSnapshot::add_histogram(const std::string& name,
+                                    HistogramSnapshot hist) {
+  insert_sorted(histograms, HistogramValue{name, std::move(hist)});
 }
 
 namespace {
@@ -243,24 +241,6 @@ void MetricsRegistry::add_snapshot_hook(SnapshotHook hook) {
   VIZ_REQUIRE(hook != nullptr, "snapshot hook must be callable");
   MutexLock lock(mutex_);
   hooks_.push_back(std::move(hook));
-}
-
-void MetricsRegistry::reset() {
-  // Collect instrument pointers under the registry lock, mutate after
-  // releasing it: histogram reset takes the instrument's own leaf Mutex and
-  // no vizcache code path may hold two locks at once (DESIGN.md).
-  std::vector<MetricCounter*> counters;
-  std::vector<MetricGauge*> gauges;
-  std::vector<MetricHistogram*> histograms;
-  {
-    MutexLock lock(mutex_);
-    for (auto& [_, c] : counters_) counters.push_back(c.get());
-    for (auto& [_, g] : gauges_) gauges.push_back(g.get());
-    for (auto& [_, h] : histograms_) histograms.push_back(h.get());
-  }
-  for (MetricCounter* c : counters) c->reset();
-  for (MetricGauge* g : gauges) g->reset();
-  for (MetricHistogram* h : histograms) h->reset();
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {

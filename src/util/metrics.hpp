@@ -20,7 +20,6 @@ class MetricCounter {
  public:
   void inc(u64 n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
   u64 value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<u64> value_{0};
@@ -39,7 +38,6 @@ class MetricGauge {
     }
   }
   double value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0.0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -68,7 +66,6 @@ class MetricHistogram {
   u64 count() const EXCLUDES(mutex_);
   double sum() const EXCLUDES(mutex_);
   HistogramSnapshot snapshot() const EXCLUDES(mutex_);
-  void reset() EXCLUDES(mutex_);
 
   const std::vector<double>& bounds() const { return bounds_; }
 
@@ -114,12 +111,14 @@ struct MetricsSnapshot {
   double gauge(const std::string& name) const;
   const HistogramSnapshot& histogram(const std::string& name) const;
 
-  /// Insert a counter / gauge at its name-sorted place: how a value that
-  /// lives in a component's stats struct, not in a registry, enters a
-  /// snapshot (each stats type's report_metrics). Throws InvalidArgument on a
-  /// malformed name or one this snapshot already holds.
+  /// Insert a counter / gauge / histogram at its name-sorted place: how a
+  /// value that lives in a component's own record, not in a registry, enters
+  /// a snapshot (each stats type's report_metrics, RunResult::summarize).
+  /// Throws InvalidArgument on a malformed name or one this snapshot already
+  /// holds.
   void add_counter(const std::string& name, u64 value);
   void add_gauge(const std::string& name, double value);
+  void add_histogram(const std::string& name, HistogramSnapshot hist);
 
   /// Writes the snapshot as pretty-printed JSON (2-space indent) + '\n' to
   /// `path`: {"counters": {...}, "gauges": {...}, "histograms": {name:
@@ -129,14 +128,15 @@ struct MetricsSnapshot {
   void write_json(const std::string& path) const;
 };
 
-/// Named metrics registry: the pipeline-observability substrate. Components
-/// with no stats struct of their own (the service, the net server, the
-/// pipelines) register their instruments once by name and then increment
-/// without the registry lock — counter/gauge/histogram references stay valid
-/// for the registry's lifetime (instruments are heap-owned and never
-/// removed). A component that keeps a stats struct registers nothing: its
-/// counters are read when a snapshot is taken, through a snapshot hook or a
-/// report_metrics call on the finished snapshot.
+/// Named metrics registry: the serving-observability substrate. Components
+/// with no stats struct of their own (the service, the net server) register
+/// their instruments once by name and then increment without the registry
+/// lock — counter/gauge/histogram references stay valid for the registry's
+/// lifetime (instruments are heap-owned and never removed). A component that
+/// keeps a stats struct registers nothing: its counters are read when a
+/// snapshot is taken, through a snapshot hook or a report_metrics call on the
+/// finished snapshot. A pipeline run keeps no registry at all: its snapshot
+/// is written once, at run end, by RunResult::summarize.
 ///
 /// Naming convention (see DESIGN.md "Observability"):
 /// `<component>.<subject>.<metric>` in lowercase [a-z0-9._] with unit
@@ -175,11 +175,6 @@ class MetricsRegistry {
   /// this registry uses. What it reads must outlive the registry's last
   /// snapshot().
   void add_snapshot_hook(SnapshotHook hook) EXCLUDES(mutex_);
-
-  /// Zero every instrument, keeping all registrations (and thus every
-  /// reference handed out) valid. Hooks stay: what they report belongs to
-  /// their components.
-  void reset() EXCLUDES(mutex_);
 
   MetricsSnapshot snapshot() const EXCLUDES(mutex_);
 

@@ -1,45 +1,11 @@
 #include "util/stats.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/error.hpp"
 
 namespace vizcache {
-
-void OnlineStats::add(double x) {
-  ++n_;
-  double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-void OnlineStats::merge(const OnlineStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  // Chan et al. parallel merge.
-  double delta = other.mean_ - mean_;
-  u64 n = n_ + other.n_;
-  double nd = static_cast<double>(n);
-  m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                         static_cast<double>(other.n_) / nd;
-  mean_ += delta * static_cast<double>(other.n_) / nd;
-  n_ = n;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double OnlineStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_);
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
 
 CorrelationMatrix::CorrelationMatrix(usize variables) : vars_(variables) {
   VIZ_REQUIRE(variables >= 1, "correlation matrix needs >=1 variable");
@@ -90,24 +56,6 @@ std::vector<double> CorrelationMatrix::matrix() const {
   for (usize i = 0; i < vars_; ++i)
     for (usize j = 0; j < vars_; ++j) m[i * vars_ + j] = correlation(i, j);
   return m;
-}
-
-Summary summarize(std::span<const double> values) {
-  Summary s;
-  if (values.empty()) return s;
-  OnlineStats os;
-  for (double v : values) os.add(v);
-  s.mean = os.mean();
-  s.stddev = os.stddev();
-  s.min = os.min();
-  s.max = os.max();
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  usize mid = sorted.size() / 2;
-  s.median = (sorted.size() % 2 == 1)
-                 ? sorted[mid]
-                 : 0.5 * (sorted[mid - 1] + sorted[mid]);
-  return s;
 }
 
 }  // namespace vizcache

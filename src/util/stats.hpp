@@ -1,35 +1,11 @@
 #pragma once
 
-#include <limits>
 #include <span>
 #include <vector>
 
 #include "util/types.hpp"
 
 namespace vizcache {
-
-/// Streaming mean/variance/min/max accumulator (Welford's algorithm).
-class OnlineStats {
- public:
-  void add(double x);
-  void merge(const OnlineStats& other);
-
-  u64 count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  /// Population variance; 0 for fewer than two samples.
-  double variance() const;
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
-
- private:
-  u64 n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// Pairwise Pearson correlation accumulator for a fixed set of variables.
 /// Backs the Fig. 3 "correlation matrix of primary variables" analytics.
@@ -58,16 +34,5 @@ class CorrelationMatrix {
   std::vector<double> co_;       // upper-triangular co-moment sums
   usize tri_index(usize i, usize j) const;
 };
-
-/// Simple summary over a finished sample set.
-struct Summary {
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double median = 0.0;
-};
-
-Summary summarize(std::span<const double> values);
 
 }  // namespace vizcache

@@ -54,29 +54,6 @@ bool BlockMetadataTable::intersects_range(BlockId id, usize var, float lo,
   return e.min <= hi && e.max >= lo;
 }
 
-std::vector<BlockId> BlockMetadataTable::blocks_in_range(usize var, float lo,
-                                                         float hi) const {
-  VIZ_REQUIRE(lo <= hi, "inverted value range");
-  std::vector<BlockId> out;
-  for (BlockId id = 0; id < blocks_; ++id) {
-    if (intersects_range(id, var, lo, hi)) out.push_back(id);
-  }
-  return out;
-}
-
-std::pair<float, float> BlockMetadataTable::variable_range(usize var) const {
-  VIZ_REQUIRE(var < variables_, "variable out of range");
-  float lo = std::numeric_limits<float>::infinity();
-  float hi = -std::numeric_limits<float>::infinity();
-  for (BlockId id = 0; id < blocks_; ++id) {
-    const Entry& e = entry(id, var);
-    lo = std::min(lo, e.min);
-    hi = std::max(hi, e.max);
-  }
-  if (blocks_ == 0) lo = hi = 0.0f;
-  return {lo, hi};
-}
-
 void BlockMetadataTable::save(const std::string& path) const {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw IoError("cannot open metadata table for writing: " + path);
@@ -88,14 +65,25 @@ void BlockMetadataTable::save(const std::string& path) const {
 }
 
 BlockMetadataTable BlockMetadataTable::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) throw IoError("cannot open metadata table: " + path);
+  const auto file_bytes = static_cast<u64>(in.tellg());
+  in.seekg(0);
   u64 header[2] = {0, 0};
   in.read(reinterpret_cast<char*>(header), sizeof(header));
+  if (!in) throw IoError("metadata table read failed: " + path);
+  // The header sizes the entry vector: a count that wraps, or that the
+  // file's bytes cannot hold, would leave entry() reading past the end.
+  u64 count = 0;
+  if (__builtin_mul_overflow(header[0], header[1], &count) ||
+      count > (file_bytes - sizeof(header)) / sizeof(Entry)) {
+    throw IoError("metadata table header promises more entries than the "
+                  "file holds: " + path);
+  }
   BlockMetadataTable table;
   table.blocks_ = header[0];
   table.variables_ = header[1];
-  table.entries_.resize(table.blocks_ * table.variables_);
+  table.entries_.resize(count);
   in.read(reinterpret_cast<char*>(table.entries_.data()),
           static_cast<std::streamsize>(table.entries_.size() * sizeof(Entry)));
   if (!in) throw IoError("metadata table read failed: " + path);

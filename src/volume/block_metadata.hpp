@@ -34,12 +34,6 @@ class BlockMetadataTable {
   /// Does the block's value interval for `var` intersect [lo, hi]?
   bool intersects_range(BlockId id, usize var, float lo, float hi) const;
 
-  /// All blocks whose interval for `var` intersects [lo, hi], ascending.
-  std::vector<BlockId> blocks_in_range(usize var, float lo, float hi) const;
-
-  /// Global value range of a variable across all blocks.
-  std::pair<float, float> variable_range(usize var) const;
-
   /// Binary serialization (pre-processing artifact, like the two tables).
   void save(const std::string& path) const;
   static BlockMetadataTable load(const std::string& path);

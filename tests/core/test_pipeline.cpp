@@ -75,16 +75,27 @@ TEST_F(PipelineTest, AppAwarePrefetchesAndOverlaps) {
   }
 }
 
-TEST_F(PipelineTest, TraceMatchesVisibleSets) {
-  RunResult r = bench_->run_baseline(PolicyKind::kLru, path());
-  usize expected = 0;
-  for (const StepResult& s : r.steps) expected += s.visible_blocks;
-  EXPECT_EQ(r.trace.size(), expected);
-  // Steps are 1-based and non-decreasing.
-  EXPECT_EQ(r.trace.accesses().front().step, 1u);
-  for (usize i = 1; i < r.trace.size(); ++i) {
-    EXPECT_GE(r.trace.accesses()[i].step, r.trace.accesses()[i - 1].step);
+/// A run's demand trace, the reference string Belady's MIN is fed, is
+/// exactly each step's visible set (Algorithm 1 lines 9-14): one demand
+/// request per visible block, each step's set the exact cone query of its
+/// camera.
+void expect_demand_is_visible_sets(const RunResult& r, const CameraPath& p,
+                                   const BlockBoundsIndex& bounds) {
+  ASSERT_EQ(r.steps.size(), p.size());
+  u64 visible = 0;
+  for (usize i = 0; i < p.size(); ++i) {
+    EXPECT_EQ(r.steps[i].step, i + 1);  // steps are 1-based
+    EXPECT_EQ(r.steps[i].visible_blocks, bounds.visible_blocks(p[i]).size());
+    visible += r.steps[i].visible_blocks;
   }
+  EXPECT_EQ(r.hierarchy.demand_requests, visible);
+}
+
+TEST_F(PipelineTest, TraceMatchesVisibleSets) {
+  const CameraPath p = path();
+  const BlockBoundsIndex bounds(bench_->grid());
+  expect_demand_is_visible_sets(bench_->run_baseline(PolicyKind::kLru, p), p,
+                                bounds);
 }
 
 TEST_F(PipelineTest, FirstStepAllMisses) {
@@ -114,19 +125,22 @@ TEST_F(PipelineTest, DeterministicRuns) {
   CameraPath p = path();
   RunResult a = bench_->run_app_aware(p);
   RunResult b = bench_->run_app_aware(p);
+  EXPECT_EQ(a.steps, b.steps);
+  EXPECT_EQ(a.hierarchy, b.hierarchy);
   EXPECT_DOUBLE_EQ(a.total_time, b.total_time);
   EXPECT_DOUBLE_EQ(a.fast_miss_rate, b.fast_miss_rate);
-  EXPECT_EQ(a.trace.id_sequence(), b.trace.id_sequence());
 }
 
 TEST_F(PipelineTest, SameDemandTraceAcrossPolicies) {
-  // Demand accesses are the exact visible sets — identical for every mode.
-  CameraPath p = path();
-  RunResult fifo = bench_->run_baseline(PolicyKind::kFifo, p);
-  RunResult lru = bench_->run_baseline(PolicyKind::kLru, p);
-  RunResult opt = bench_->run_app_aware(p);
-  EXPECT_EQ(fifo.trace.id_sequence(), lru.trace.id_sequence());
-  EXPECT_EQ(fifo.trace.id_sequence(), opt.trace.id_sequence());
+  // Demand accesses are the exact visible sets — identical for every mode,
+  // which is why run_belady can build its trace from the path alone.
+  const CameraPath p = path();
+  const BlockBoundsIndex bounds(bench_->grid());
+  for (const RunResult& r : {bench_->run_baseline(PolicyKind::kFifo, p),
+                             bench_->run_baseline(PolicyKind::kLru, p),
+                             bench_->run_app_aware(p)}) {
+    expect_demand_is_visible_sets(r, p, bounds);
+  }
 }
 
 TEST_F(PipelineTest, EmptyPathThrows) {
@@ -220,15 +234,20 @@ TEST_F(PipelineTest, MetricsSnapshotHasExpectedKeys) {
 }
 
 TEST_F(PipelineTest, MetricsResetBetweenRuns) {
-  // Two runs on one pipeline must not double-count: run() resets the
-  // registry, so each RunResult carries that run's totals only.
-  CameraPath p = path();
-  RunResult a = bench_->run_app_aware(p);
-  RunResult b = bench_->run_app_aware(p);
-  EXPECT_EQ(a.metrics.counter("pipeline.steps"),
-            b.metrics.counter("pipeline.steps"));
+  // Two runs on one pipeline must not double-count: each run's snapshot is
+  // written from that run's own record, so it carries that run's totals only.
+  PipelineConfig cfg;
+  cfg.policy = PolicyKind::kLru;
+  VizPipeline pipeline(bench_->grid(), bench_->make_hierarchy(cfg.policy),
+                       cfg);
+  const CameraPath p = path();
+  RunResult a = pipeline.run(p);
+  RunResult b = pipeline.run(p);
+  EXPECT_EQ(b.metrics.counter("pipeline.steps"), p.size());
   EXPECT_EQ(a.metrics.counter("hierarchy.demand.requests"),
             b.metrics.counter("hierarchy.demand.requests"));
+  EXPECT_EQ(a.metrics.gauge("pipeline.total_seconds"),
+            b.metrics.gauge("pipeline.total_seconds"));
 }
 
 }  // namespace

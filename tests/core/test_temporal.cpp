@@ -173,22 +173,27 @@ TEST_F(TemporalTest, DeterministicRuns) {
   cfg.app_aware = true;
   RunResult a = make_pipeline(cfg, pb).run(p);
   RunResult b = make_pipeline(cfg, pb).run(p);
+  EXPECT_EQ(a.steps, b.steps);
+  EXPECT_EQ(a.hierarchy, b.hierarchy);
   EXPECT_DOUBLE_EQ(a.total_time, b.total_time);
-  EXPECT_EQ(a.trace.id_sequence(), b.trace.id_sequence());
 }
 
-TEST_F(TemporalTest, TraceKeysEncodeTimesteps) {
+TEST_F(TemporalTest, NewTimestepMissesEveryVisibleBlock) {
+  // Keys are per (block, timestep): when playback moves to a new timestep,
+  // none of its blocks has been staged yet, so a baseline misses fast memory
+  // on every visible block. The same path held at one timestep reuses the
+  // previous view's blocks.
+  const CameraPath p = path(30);
   TemporalConfig cfg;
-  PlaybackSpec pb{kTimesteps, 10, false};
-  TemporalPipeline p = make_pipeline(cfg, pb);
-  RunResult r = p.run(path(30));
-  bool saw_t1 = false;
-  for (const Access& a : r.trace.accesses()) {
-    usize t = TimeBlockKey::timestep(a.id, grid_->block_count());
-    EXPECT_LT(t, kTimesteps);
-    if (t == 1) saw_t1 = true;
+  const RunResult playing =
+      make_pipeline(cfg, PlaybackSpec{kTimesteps, 10, false}).run(p);
+  const RunResult held =
+      make_pipeline(cfg, PlaybackSpec{kTimesteps, p.size(), false}).run(p);
+  for (usize i : {10u, 20u}) {
+    SCOPED_TRACE(testing::Message() << "path index " << i);
+    EXPECT_EQ(playing.steps[i].fast_misses, playing.steps[i].visible_blocks);
+    EXPECT_LT(held.steps[i].fast_misses, held.steps[i].visible_blocks);
   }
-  EXPECT_TRUE(saw_t1);
 }
 
 TEST_F(TemporalTest, InvalidConfigsThrow) {

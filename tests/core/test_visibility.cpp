@@ -14,13 +14,6 @@ BlockGrid cube_grid(usize blocks_per_axis = 4) {
   return BlockGrid({n, n, n}, {8, 8, 8});
 }
 
-TEST(Visibility, MatchesOneShotHelper) {
-  BlockGrid grid = cube_grid();
-  BlockBoundsIndex idx(grid);
-  Camera cam({3, 0.5, -0.2}, 20.0);
-  EXPECT_EQ(idx.visible_blocks(cam), compute_visible_blocks(cam, grid));
-}
-
 TEST(Visibility, SortedUniqueIds) {
   BlockGrid grid = cube_grid();
   BlockBoundsIndex idx(grid);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 
 #include "util/error.hpp"
 #include "volume/datasets.hpp"
@@ -182,6 +183,64 @@ TEST(VisibilityTable, SaveLoadRoundTrip) {
 
 TEST(VisibilityTable, LoadMissingFileThrows) {
   EXPECT_THROW(VisibilityTable::load("/nonexistent/vt.bin"), IoError);
+}
+
+/// A table file laid out as save() writes it, field by field: the lattice
+/// {theta, phi, distance} steps, the distance range, then `n` entries with
+/// empty block lists.
+std::string write_table_file(const std::string& name, u64 theta, u64 phi,
+                             u64 distance, double distance_min,
+                             double distance_max, u64 n) {
+  const std::string path = (fs::temp_directory_path() / name).string();
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  const u64 lattice[3] = {theta, phi, distance};
+  out.write(reinterpret_cast<const char*>(lattice), sizeof(lattice));
+  const double scal[4] = {distance_min, distance_max, 15.0, 6.0};
+  out.write(reinterpret_cast<const char*>(scal), sizeof(scal));
+  out.write(reinterpret_cast<const char*>(&n), sizeof(n));
+  const Vec3 position{0.0, 0.0, 3.0};
+  const u64 blocks = 0;
+  for (u64 i = 0; i < n; ++i) {
+    out.write(reinterpret_cast<const char*>(&position), sizeof(position));
+    out.write(reinterpret_cast<const char*>(&blocks), sizeof(blocks));
+  }
+  return path;
+}
+
+TEST(VisibilityTable, LoadRejectsEmptyLatticeDimension) {
+  // phi_steps == 0 would make every query divide by zero.
+  const std::string path =
+      write_table_file("vizcache_vt_zero_phi.bin", 2, 0, 1, 2.5, 3.5, 0);
+  EXPECT_THROW(VisibilityTable::load(path), IoError);
+  fs::remove(path);
+}
+
+TEST(VisibilityTable, LoadRejectsInvalidDistanceRange) {
+  const std::string path =
+      write_table_file("vizcache_vt_bad_range.bin", 1, 1, 1, 3.5, 2.5, 1);
+  EXPECT_THROW(VisibilityTable::load(path), IoError);
+  fs::remove(path);
+}
+
+TEST(VisibilityTable, LoadRejectsLatticeLargerThanEntries) {
+  const std::string fits =
+      write_table_file("vizcache_vt_fits.bin", 1, 1, 1, 2.5, 3.5, 1);
+  EXPECT_EQ(VisibilityTable::load(fits).entry_count(), 1u);
+  fs::remove(fits);
+  // A 2x2x2 lattice over one entry: query() would index past entries_.
+  const std::string path =
+      write_table_file("vizcache_vt_short.bin", 2, 2, 2, 2.5, 3.5, 1);
+  EXPECT_THROW(VisibilityTable::load(path), IoError);
+  fs::remove(path);
+}
+
+TEST(VisibilityTable, LoadRejectsOverflowingLattice) {
+  // 2^32 * 2^32 * 1 wraps to 0 in 64 bits, the file's entry count.
+  const u64 big = u64{1} << 32;
+  const std::string path =
+      write_table_file("vizcache_vt_wrap.bin", big, big, 1, 2.5, 3.5, 0);
+  EXPECT_THROW(VisibilityTable::load(path), IoError);
+  fs::remove(path);
 }
 
 TEST(VisibilityTable, ZeroVicinalSamplesThrows) {

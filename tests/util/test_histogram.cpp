@@ -80,21 +80,6 @@ TEST(Histogram, PmfSumsToOne) {
   EXPECT_NEAR(sum, 1.0, 1e-12);
 }
 
-TEST(Histogram, MergeAddsCounts) {
-  Histogram a(8, 0.0, 1.0), b(8, 0.0, 1.0);
-  a.add(0.1);
-  b.add(0.1);
-  b.add(0.9);
-  a.merge(b);
-  EXPECT_EQ(a.total(), 3u);
-  EXPECT_EQ(a.count(a.bin_for(0.1)), 2u);
-}
-
-TEST(Histogram, MergeRejectsMismatchedBinning) {
-  Histogram a(8, 0.0, 1.0), b(16, 0.0, 1.0);
-  EXPECT_THROW(a.merge(b), InvalidArgument);
-}
-
 TEST(Histogram, SpanOverloadsAgree) {
   std::vector<float> vf{0.1f, 0.2f, 0.3f};
   std::vector<double> vd{0.1, 0.2, 0.3};

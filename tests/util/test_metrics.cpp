@@ -22,18 +22,15 @@ TEST(MetricCounter, StartsAtZeroAndAccumulates) {
   c.inc();
   c.inc(41);
   EXPECT_EQ(c.value(), 42u);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(MetricGauge, SetAddReset) {
+TEST(MetricGauge, SetAndAdd) {
   MetricGauge g;
+  EXPECT_DOUBLE_EQ(g.value(), 0.0);
   g.set(2.5);
   EXPECT_DOUBLE_EQ(g.value(), 2.5);
   g.add(0.75);
   EXPECT_DOUBLE_EQ(g.value(), 3.25);
-  g.reset();
-  EXPECT_DOUBLE_EQ(g.value(), 0.0);
 }
 
 TEST(MetricHistogram, BucketsObservationsByUpperBound) {
@@ -104,21 +101,6 @@ TEST(MetricsRegistry, SnapshotIsNameSortedAndComplete) {
   EXPECT_THROW(snap.histogram("missing"), InvalidArgument);
 }
 
-TEST(MetricsRegistry, ResetZeroesButKeepsRegistrations) {
-  MetricsRegistry reg;
-  MetricCounter& c = reg.counter("x.count");
-  c.inc(7);
-  reg.gauge("x.gauge").set(3.0);
-  reg.histogram("x.hist", {1.0}).observe(0.5);
-  reg.reset();
-  EXPECT_EQ(c.value(), 0u);  // same instrument, zeroed
-  EXPECT_EQ(reg.counter_count(), 1u);
-  MetricsSnapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.counter("x.count"), 0u);
-  EXPECT_DOUBLE_EQ(snap.gauge("x.gauge"), 0.0);
-  EXPECT_EQ(snap.histogram("x.hist").count, 0u);
-}
-
 // A hook's values are read when the snapshot is taken and merged into the
 // registry's own, every list still sorted by name.
 TEST(MetricsRegistry, SnapshotHookMergesInNameOrder) {
@@ -143,17 +125,6 @@ TEST(MetricsRegistry, SnapshotHookMergesInNameOrder) {
   EXPECT_DOUBLE_EQ(snap.gauge("z.hook"), 0.25);
   external = 6;
   EXPECT_EQ(reg.snapshot().counter("a.hook"), 6u);
-}
-
-TEST(MetricsRegistry, SnapshotHookSurvivesReset) {
-  MetricsRegistry reg;
-  reg.counter("x.count").inc(3);
-  reg.add_snapshot_hook(
-      [](MetricsSnapshot& out) { out.add_counter("x.hooked", 9); });
-  reg.reset();
-  const MetricsSnapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.counter("x.count"), 0u);
-  EXPECT_EQ(snap.counter("x.hooked"), 9u);
 }
 
 // While the hook runs, another thread registers an instrument: that takes the
@@ -191,6 +162,29 @@ TEST(MetricsSnapshot, AddRejectsTakenAndMalformedNames) {
   EXPECT_THROW(snap.add_gauge("g.x", 2.0), InvalidArgument);
   EXPECT_THROW(snap.add_counter("Bad Name", 1), InvalidArgument);
   EXPECT_DOUBLE_EQ(snap.gauge("g.x"), 1.0);
+}
+
+// A histogram built outside any registry enters a snapshot whole, at its
+// name-sorted place, like add_counter / add_gauge.
+TEST(MetricsSnapshot, AddHistogramKeepsNameOrder) {
+  MetricsRegistry reg;
+  reg.histogram("m.registry", {1.0}).observe(0.5);
+  MetricsSnapshot snap = reg.snapshot();
+  MetricHistogram local({1.0, 10.0});
+  local.observe(2.0);
+  local.observe(20.0);
+  snap.add_histogram("z.local", local.snapshot());
+  snap.add_histogram("a.local", local.snapshot());
+  ASSERT_EQ(snap.histograms.size(), 3u);
+  EXPECT_EQ(snap.histograms[0].name, "a.local");
+  EXPECT_EQ(snap.histograms[1].name, "m.registry");
+  EXPECT_EQ(snap.histograms[2].name, "z.local");
+  const HistogramSnapshot& h = snap.histogram("z.local");
+  EXPECT_EQ(h.count, 2u);
+  EXPECT_EQ(h.buckets, (std::vector<u64>{0, 1, 1}));
+  EXPECT_DOUBLE_EQ(h.sum, 22.0);
+  EXPECT_THROW(snap.add_histogram("m.registry", local.snapshot()),
+               InvalidArgument);
 }
 
 // Golden snapshot of the metrics export that check_metrics_snapshot.py

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "util/error.hpp"
@@ -10,58 +9,6 @@
 
 namespace vizcache {
 namespace {
-
-TEST(OnlineStats, EmptyIsZero) {
-  OnlineStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(OnlineStats, SingleValue) {
-  OnlineStats s;
-  s.add(5.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 5.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-}
-
-TEST(OnlineStats, KnownValues) {
-  OnlineStats s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 4.0);  // population variance
-  EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(OnlineStats, MergeMatchesSequential) {
-  Rng rng(3);
-  OnlineStats whole, left, right;
-  for (int i = 0; i < 1000; ++i) {
-    double v = rng.normal(3.0, 1.5);
-    whole.add(v);
-    (i < 400 ? left : right).add(v);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-10);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-8);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(OnlineStats, MergeWithEmpty) {
-  OnlineStats a, b;
-  a.add(1.0);
-  a.add(3.0);
-  a.merge(b);  // no-op
-  EXPECT_EQ(a.count(), 2u);
-  b.merge(a);  // copy
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
 
 TEST(CorrelationMatrix, DiagonalIsOne) {
   CorrelationMatrix c(3);
@@ -142,19 +89,6 @@ TEST(CorrelationMatrix, ArityMismatchThrows) {
   CorrelationMatrix c(3);
   std::vector<double> wrong{1.0, 2.0};
   EXPECT_THROW(c.add_sample(std::span<const double>(wrong)), InvalidArgument);
-}
-
-TEST(Summary, EmptyInput) {
-  Summary s = summarize({});
-  EXPECT_DOUBLE_EQ(s.mean, 0.0);
-  EXPECT_DOUBLE_EQ(s.median, 0.0);
-}
-
-TEST(Summary, OddAndEvenMedian) {
-  std::vector<double> odd{3.0, 1.0, 2.0};
-  EXPECT_DOUBLE_EQ(summarize(odd).median, 2.0);
-  std::vector<double> even{4.0, 1.0, 3.0, 2.0};
-  EXPECT_DOUBLE_EQ(summarize(even).median, 2.5);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 
 #include "util/error.hpp"
 
@@ -52,33 +53,6 @@ TEST(BlockMetadata, RangeTestSoundness) {
   }
 }
 
-TEST(BlockMetadata, BlocksInRangeSelective) {
-  // An iso-band in the flame's sheet region must skip ambient blocks.
-  SyntheticBlockStore store = flame_store();
-  BlockMetadataTable t = BlockMetadataTable::build(store);
-  auto candidates = t.blocks_in_range(0, 0.45f, 0.55f);
-  EXPECT_GT(candidates.size(), 0u);
-  EXPECT_LT(candidates.size(), store.grid().block_count());
-}
-
-TEST(BlockMetadata, FullRangeMatchesEverything) {
-  SyntheticBlockStore store = flame_store();
-  BlockMetadataTable t = BlockMetadataTable::build(store);
-  auto [lo, hi] = t.variable_range(0);
-  EXPECT_EQ(t.blocks_in_range(0, lo, hi).size(), store.grid().block_count());
-}
-
-TEST(BlockMetadata, VariableRangeCoversBlockExtremes) {
-  SyntheticBlockStore store = flame_store();
-  BlockMetadataTable t = BlockMetadataTable::build(store);
-  auto [lo, hi] = t.variable_range(0);
-  for (BlockId id = 0; id < t.block_count(); ++id) {
-    EXPECT_GE(t.entry(id).min, lo);
-    EXPECT_LE(t.entry(id).max, hi);
-  }
-  EXPECT_LT(lo, hi);
-}
-
 TEST(BlockMetadata, MultiVariable) {
   SyntheticBlockStore store(make_climate_volume({16, 16, 8}, 5, 1), {8, 8, 4});
   BlockMetadataTable t = BlockMetadataTable::build(store, 3);
@@ -111,9 +85,21 @@ TEST(BlockMetadata, SaveLoadRoundTrip) {
 TEST(BlockMetadata, InvalidInputsThrow) {
   SyntheticBlockStore store = flame_store();
   EXPECT_THROW(BlockMetadataTable::build(store, 5), InvalidArgument);
-  BlockMetadataTable t = BlockMetadataTable::build(store);
-  EXPECT_THROW(t.blocks_in_range(0, 0.6f, 0.4f), InvalidArgument);
   EXPECT_THROW(BlockMetadataTable::load("/nonexistent/meta.bin"), IoError);
+}
+
+TEST(BlockMetadata, LoadRejectsWrappingEntryCount) {
+  // 2^62 blocks x 4 variables wraps to 0 entries in 64 bits, which an empty
+  // body would otherwise satisfy.
+  const std::string path =
+      (fs::temp_directory_path() / "vizcache_meta_wrap.bin").string();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    const u64 header[2] = {u64{1} << 62, 4};
+    out.write(reinterpret_cast<const char*>(header), sizeof(header));
+  }
+  EXPECT_THROW(BlockMetadataTable::load(path), IoError);
+  fs::remove(path);
 }
 
 }  // namespace
