@@ -8,7 +8,7 @@
 #include <iostream>
 
 #include "common.hpp"
-#include "core/temporal.hpp"
+#include "core/pipeline.hpp"
 
 using namespace vizcache;
 using namespace vizcache::bench;
@@ -64,29 +64,26 @@ int main(int argc, char** argv) {
     PlaybackSpec playback{timesteps, speed, true};
 
     for (PolicyKind kind : {PolicyKind::kFifo, PolicyKind::kLru}) {
-      TemporalConfig cfg;
-      cfg.app_aware = false;
+      PipelineConfig cfg;
       cfg.policy = kind;
-      TemporalPipeline p(grid,
-                         make_temporal_hierarchy(grid, timesteps, 0.5, kind),
-                         cfg, playback);
+      VizPipeline p(grid, make_temporal_hierarchy(grid, timesteps, 0.5, kind),
+                    cfg, nullptr, {}, nullptr, playback);
       report(speed, policy_kind_name(kind), p.run(path));
     }
 
-    TemporalConfig spatial;
-    spatial.app_aware = true;
-    spatial.sigma_bits = sigma;
+    PipelineConfig opt;
+    opt.app_aware = true;
+    opt.sigma_bits = sigma;
+    PlaybackSpec spatial = playback;
     spatial.temporal_prefetch = false;
-    TemporalPipeline ps(
-        grid, make_temporal_hierarchy(grid, timesteps, 0.5, spatial.policy),
-        spatial, playback, &table, &importance);
+    VizPipeline ps(grid,
+                   make_temporal_hierarchy(grid, timesteps, 0.5, opt.policy),
+                   opt, &table, importance, nullptr, spatial);
     report(speed, "OPT(spatial)", ps.run(path));
 
-    TemporalConfig full = spatial;
-    full.temporal_prefetch = true;
-    TemporalPipeline pf(
-        grid, make_temporal_hierarchy(grid, timesteps, 0.5, full.policy),
-        full, playback, &table, &importance);
+    VizPipeline pf(grid,
+                   make_temporal_hierarchy(grid, timesteps, 0.5, opt.policy),
+                   opt, &table, importance, nullptr, playback);
     report(speed, "OPT(+temporal)", pf.run(path));
   }
 

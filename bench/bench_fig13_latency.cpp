@@ -68,7 +68,12 @@ int main(int argc, char** argv) {
 
       auto delta = [&](double base) {
         double pct = (opt.total_time - base) / base * 100.0;
-        return (pct <= 0 ? "" : std::string("+")) + TablePrinter::fmt(pct, 1) + "%";
+        // Appended, not chained with operator+, which GCC 12's -O3
+        // -Wrestrict misreports.
+        std::string cell = pct <= 0 ? "" : "+";
+        cell += TablePrinter::fmt(pct, 1);
+        cell += '%';
+        return cell;
       };
       table.row({TablePrinter::fmt(ratio, 1), degree_range_label(lo, hi),
                  TablePrinter::fmt(fifo.total_time, 2),

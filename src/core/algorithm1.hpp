@@ -98,7 +98,7 @@ PreloadCounts preload_important(HierarchyPort& port, const BlockGrid& grid,
                                 double sigma_bits);
 
 /// A list prefetched, in its own order, after the prediction from the budget
-/// it leaves (TemporalPipeline's next-timestep blocks).
+/// it leaves (a time-varying run's next-timestep blocks).
 struct TrailingPrefetch {
   HierarchyPort* port = nullptr;
   const ImportanceTable* importance = nullptr;

@@ -214,10 +214,19 @@ SamplingMask make_sampling_mask(const ImportanceTable& table,
 }
 
 ImportanceTable ImportanceTable::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) throw IoError("cannot open importance table: " + path);
+  const auto file_bytes = static_cast<u64>(in.tellg());
+  in.seekg(0);
   u64 n = 0;
   in.read(reinterpret_cast<char*>(&n), sizeof(n));
+  if (!in) throw IoError("importance table read failed: " + path);
+  // n sizes the vector before its bytes are read: a count the file cannot
+  // hold would allocate, throw length_error, or wrap n * sizeof(double).
+  if (n > (file_bytes - sizeof(n)) / sizeof(double)) {
+    throw IoError("importance table header promises more blocks than the "
+                  "file holds: " + path);
+  }
   ImportanceTable table;
   table.entropy_bits_.resize(n);
   in.read(reinterpret_cast<char*>(table.entropy_bits_.data()),

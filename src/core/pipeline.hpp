@@ -1,6 +1,6 @@
 #pragma once
 
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "core/algorithm1.hpp"
@@ -69,22 +69,60 @@ struct PipelineConfig {
   LookupCostModel lookup_cost;
 };
 
-/// Executes camera-path runs against a block grid and a memory hierarchy.
-/// The pipeline is purely simulation-driven (it never touches payload
-/// bytes), which keeps the full Fig. 7/9/11/12/13 sweeps fast and exactly
-/// deterministic; the example apps exercise the same logic against real
-/// file I/O and the real ray-caster.
+/// Cache key for a (block, timestep) pair of a time-varying dataset. The
+/// paper's climate set is time-varying (Table I): during playback the same
+/// spatial block at different timesteps holds different data and must be
+/// staged separately.
+struct TimeBlockKey {
+  /// Dense key: id + timestep * block_count. Requires the product to fit
+  /// BlockId (checked by the pipeline constructor).
+  static BlockId pack(BlockId id, usize timestep, usize block_count) {
+    return static_cast<BlockId>(id + timestep * block_count);
+  }
+  static BlockId spatial(BlockId key, usize block_count) {
+    return key % static_cast<BlockId>(block_count);
+  }
+};
+
+/// How simulation time advances while the user explores. The default, one
+/// timestep, is a static dataset.
+struct PlaybackSpec {
+  usize timesteps = 1;          ///< timesteps of the dataset
+  usize steps_per_timestep = 8; ///< camera-path steps per simulation step
+  bool loop = false;            ///< wrap around at the end vs clamp
+  /// Also prefetch the current view's blocks *at the next timestep* during
+  /// rendering — the temporal extension of the paper's prefetch (its
+  /// future-work direction for time-varying exploration). App-aware only.
+  bool temporal_prefetch = true;
+
+  /// Timestep active at a 0-based path index. Needs both counts >= 1,
+  /// which the VizPipeline constructor checks.
+  usize timestep_at(usize path_index) const;
+};
+
+/// Executes camera-path runs against a block grid and a memory hierarchy:
+/// the one Algorithm 1 driver over a single hierarchy, for static datasets
+/// and time-varying playback alike. The pipeline is purely simulation-driven
+/// (it never touches payload bytes), which keeps the full Fig. 7/9/11/12/13
+/// sweeps fast and exactly deterministic; the example apps exercise the same
+/// logic against real file I/O and the real ray-caster.
 class VizPipeline {
  public:
-  /// `table`/`importance` may be null for baseline runs. `metadata` enables
-  /// query-driven runs (data-dependent operations).
+  /// `table` may be null and `importance` empty for baseline runs; an
+  /// app-aware run needs T_visible and one T_important per playback
+  /// timestep. `metadata` enables query-driven runs (data-dependent
+  /// operations). The tables must outlive the pipeline.
   VizPipeline(const BlockGrid& grid, MemoryHierarchy hierarchy,
               PipelineConfig config, const VisibilityTable* table = nullptr,
-              const ImportanceTable* importance = nullptr,
-              const BlockMetadataTable* metadata = nullptr);
+              std::span<const ImportanceTable> importance = {},
+              const BlockMetadataTable* metadata = nullptr,
+              PlaybackSpec playback = {});
 
-  /// Run a full camera path from a cold (or preloaded) hierarchy. With a
-  /// query `schedule` (requires metadata), each step's working set is the
+  /// Run a full camera path from a cold (or preloaded) hierarchy. Step `i`
+  /// works on the keys of timestep `playback.timestep_at(i)`. Prediction
+  /// reuses the dataset-independent T_visible (visibility does not depend on
+  /// t), while importance is that timestep's table. With a query `schedule`
+  /// (requires metadata and one timestep), each step's working set is the
   /// view-visible blocks that also pass the step's active query — the
   /// paper's dynamically-changed transfer function / query workload.
   RunResult run(const CameraPath& path, const QuerySchedule* schedule = nullptr);
@@ -94,9 +132,18 @@ class VizPipeline {
  private:
   MemoryHierarchy hierarchy_;
   PipelineConfig config_;
+  PlaybackSpec playback_;
+  std::span<const ImportanceTable> importance_;
+  /// Each step points a copy at its timestep's importance table.
   Algorithm1Setup algorithm1_;
   const BlockMetadataTable* metadata_;
   BlockBoundsIndex bounds_;
 };
+
+/// Hierarchy sized for a time-varying dataset: capacity ratios are applied
+/// to the bytes of ALL timesteps (the backing store holds every step).
+MemoryHierarchy make_temporal_hierarchy(const BlockGrid& grid,
+                                        usize timesteps, double cache_ratio,
+                                        PolicyKind policy);
 
 }  // namespace vizcache

@@ -127,12 +127,8 @@ std::vector<BlockId> query_visible_blocks(const Camera& camera,
                                           const RegionQuery& query) {
   VIZ_REQUIRE(metadata.block_count() == bounds.block_count(),
               "metadata/grid block count mismatch");
-  ConeFrustum frustum(camera);
-  std::vector<BlockId> out;
-  for (BlockId id = 0; id < bounds.block_count(); ++id) {
-    if (!query.may_match(metadata, id)) continue;
-    if (frustum.intersects_block(bounds.bounds(id))) out.push_back(id);
-  }
+  std::vector<BlockId> out = bounds.visible_blocks(camera);
+  std::erase_if(out, [&](BlockId id) { return !query.may_match(metadata, id); });
   return out;
 }
 

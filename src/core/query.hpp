@@ -77,7 +77,9 @@ bool tf_may_need_block(const std::vector<RegionQuery>& tf_queries,
 /// The working set of a data-dependent operation at a view: blocks both
 /// inside the view cone AND passing the query's metadata test. This is the
 /// set Algorithm 1 must stage at full resolution — multi-resolution
-/// fallbacks would corrupt the query result (paper Section III-B).
+/// fallbacks would corrupt the query result (paper Section III-B). It is
+/// `bounds.visible_blocks(camera)`, the same octree cull as every other
+/// step, filtered by RegionQuery::may_match: ids ascending.
 std::vector<BlockId> query_visible_blocks(const Camera& camera,
                                           const BlockBoundsIndex& bounds,
                                           const BlockMetadataTable& metadata,
@@ -102,8 +104,6 @@ class QuerySchedule {
 
   /// The query active at a path step.
   const RegionQuery& active_at(usize step) const;
-
-  usize change_count() const { return changes_.size(); }
 
  private:
   std::vector<QueryChange> changes_;

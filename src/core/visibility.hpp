@@ -9,17 +9,16 @@
 
 namespace vizcache {
 
-/// Precomputed block bounds for fast repeated visibility sweeps over the
-/// same grid (table construction tests every block against thousands of
-/// sampled frustums). Internally backed by a bounding-volume octree so
-/// narrow frustums prune whole subtrees; results are identical to the
-/// exhaustive per-block scan (the BlockOctree tests hold them to one).
+/// Visibility index for fast repeated sweeps over the same grid (table
+/// construction tests every block against thousands of sampled frustums).
+/// Backed by a bounding-volume octree so narrow frustums prune whole
+/// subtrees; results are identical to the exhaustive per-block scan (the
+/// BlockOctree tests hold them to one).
 class BlockBoundsIndex {
  public:
   explicit BlockBoundsIndex(const BlockGrid& grid);
 
-  const AABB& bounds(BlockId id) const { return bounds_[id]; }
-  usize block_count() const { return bounds_.size(); }
+  usize block_count() const { return octree_.leaf_count(); }
 
   /// Exact visible set of one camera: all blocks whose AABB intersects the
   /// view cone (paper Eq. 1 test). Ids in ascending order.
@@ -30,7 +29,6 @@ class BlockBoundsIndex {
   void mark_visible(const Camera& camera, std::vector<u8>& mask) const;
 
  private:
-  std::vector<AABB> bounds_;
   BlockOctree octree_;
 };
 

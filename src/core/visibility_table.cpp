@@ -126,8 +126,10 @@ void VisibilityTable::save(const std::string& path) const {
 }
 
 VisibilityTable VisibilityTable::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) throw IoError("cannot open visibility table: " + path);
+  const auto file_bytes = static_cast<u64>(in.tellg());
+  in.seekg(0);
   VisibilityTable table;
   u64 lattice[3] = {0, 0, 0};
   in.read(reinterpret_cast<char*>(lattice), sizeof(lattice));
@@ -157,6 +159,18 @@ VisibilityTable VisibilityTable::load(const std::string& path) {
     throw IoError("visibility table lattice does not match its " +
                   std::to_string(n) + " entries: " + path);
   }
+  // The counts size vectors before their bytes are read: each must fit in
+  // what is left of the file, or a corrupt one would allocate (or throw
+  // length_error) instead of failing the load.
+  constexpr u64 kHeaderBytes = 3 * sizeof(u64) + 4 * sizeof(double) +
+                               sizeof(u64);
+  constexpr u64 kEntryHeaderBytes = sizeof(Vec3) + sizeof(u64);
+  u64 bytes_left = file_bytes - kHeaderBytes;
+  if (n > bytes_left / kEntryHeaderBytes) {
+    throw IoError("visibility table promises more entries than the file "
+                  "holds: " + path);
+  }
+  bytes_left -= n * kEntryHeaderBytes;
   table.positions_.resize(n);
   table.entries_.resize(n);
   for (usize i = 0; i < n; ++i) {
@@ -164,6 +178,11 @@ VisibilityTable VisibilityTable::load(const std::string& path) {
             sizeof(table.positions_[i]));
     u64 m = 0;
     in.read(reinterpret_cast<char*>(&m), sizeof(m));
+    if (m > bytes_left / sizeof(BlockId)) {
+      throw IoError("visibility table entry " + std::to_string(i) +
+                    " promises more blocks than the file holds: " + path);
+    }
+    bytes_left -= m * sizeof(BlockId);
     table.entries_[i].resize(m);
     in.read(reinterpret_cast<char*>(table.entries_[i].data()),
             static_cast<std::streamsize>(m * sizeof(BlockId)));

@@ -6,6 +6,11 @@
 
 namespace vizcache {
 
+namespace {
+/// Histogram bins of the entropy importance metric.
+constexpr usize kEntropyBins = 128;
+}  // namespace
+
 Workbench::Workbench(const WorkbenchSpec& spec) : spec_(spec) {
   pool_ = std::make_unique<ThreadPool>();  // hardware concurrency
   SyntheticVolume volume = make_dataset(spec_.dataset, spec_.scale);
@@ -16,7 +21,7 @@ Workbench::Workbench(const WorkbenchSpec& spec) : spec_(spec) {
   switch (spec_.importance_metric) {
     case WorkbenchSpec::ImportanceMetric::kEntropy:
       importance_ = std::make_unique<ImportanceTable>(ImportanceTable::build(
-          *store_, spec_.entropy_bins, 0, 0, pool_.get()));
+          *store_, kEntropyBins, 0, 0, pool_.get()));
       break;
     case WorkbenchSpec::ImportanceMetric::kGradient:
       importance_ = std::make_unique<ImportanceTable>(
@@ -97,7 +102,7 @@ RunResult Workbench::run_baseline(PolicyKind policy, const CameraPath& path,
   cfg.render_model = spec_.render_model;
   cfg.lookup_cost = spec_.lookup_cost;
   VizPipeline pipeline(store_->grid(), make_hierarchy(policy), cfg, nullptr,
-                       nullptr, metadata_.get());
+                       {}, metadata_.get());
   return pipeline.run(path, schedule);
 }
 
@@ -110,7 +115,7 @@ RunResult Workbench::run_app_aware(const CameraPath& path,
   cfg.render_model = spec_.render_model;
   cfg.lookup_cost = spec_.lookup_cost;
   VizPipeline pipeline(store_->grid(), make_hierarchy(cfg.policy), cfg,
-                       table_.get(), importance_.get(), metadata_.get());
+                       table_.get(), {importance_.get(), 1}, metadata_.get());
   return pipeline.run(path, schedule);
 }
 

@@ -35,8 +35,6 @@ struct WorkbenchSpec {
   /// flattest ambient quarter of the volume prefetchable.
   double sigma_fraction = 0.75;
 
-  usize entropy_bins = 128;
-
   /// Block-importance metric (paper uses Shannon entropy; gradient and
   /// random are ablation alternatives).
   enum class ImportanceMetric { kEntropy, kGradient, kRandom };

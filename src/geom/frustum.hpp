@@ -19,7 +19,6 @@ class ConeFrustum {
 
   const Vec3& apex() const { return apex_; }
   const Vec3& axis() const { return axis_; }
-  double half_angle_rad() const { return half_angle_; }
 
   /// Is point p inside the cone?
   bool contains_point(const Vec3& p) const;

@@ -48,8 +48,6 @@ std::vector<NetServer::Completion> NetServer::CompletionQueue::drain() {
 NetServer::NetServer(BlockService& service, NetServerConfig config)
     : service_(service), config_(config) {
   VIZ_REQUIRE(config_.workers >= 1, "NetServer needs at least one worker");
-  VIZ_REQUIRE(config_.max_request_payload >= 64,
-              "request payload cap below the largest request frame");
 }
 
 NetServer::~NetServer() { stop(); }
@@ -275,7 +273,7 @@ void NetServer::parse_frames(Connection& conn) {
     ParsedFrame frame;
     const ParseStatus status =
         try_parse_frame(std::span<const u8>(conn.rbuf).subspan(pos),
-                        config_.max_request_payload, frame);
+                        kMaxRequestPayload, frame);
     if (status == ParseStatus::kNeedMore) break;
     if (status == ParseStatus::kTooLarge) {
       fail_conn(conn, NetErrorCode::kFrameTooLarge,

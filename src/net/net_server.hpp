@@ -26,10 +26,6 @@ struct NetServerConfig {
   /// Accepts beyond this are refused with a kOverloaded error frame.
   usize max_connections = 4096;
 
-  /// Per-connection cap on the declared payload length of INCOMING frames.
-  /// Requests are tiny; anything bigger is hostile or corrupt.
-  usize max_request_payload = kMaxRequestPayload;
-
   /// Backpressure, part 1: once a connection's pending write bytes exceed
   /// this bound the server stops reading from it (no new requests accepted
   /// until the client drains).

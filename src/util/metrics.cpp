@@ -167,7 +167,11 @@ std::string json_object(const JsonEntries& entries, usize depth) {
     out += i == 0 ? "\n" : ",\n";
     out += pad + "\"" + entries[i].first + "\": " + entries[i].second;
   }
-  out += "\n" + std::string(2 * depth, ' ') + "}";
+  // Appended, not `"\n" + std::string(...)`: GCC 12's -O3 -Wrestrict
+  // misreports that operator+.
+  out += '\n';
+  out.append(2 * depth, ' ');
+  out += '}';
   return out;
 }
 
@@ -273,21 +277,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   }
   for (const SnapshotHook& hook : hooks) hook(snap);
   return snap;
-}
-
-usize MetricsRegistry::counter_count() const {
-  MutexLock lock(mutex_);
-  return counters_.size();
-}
-
-usize MetricsRegistry::gauge_count() const {
-  MutexLock lock(mutex_);
-  return gauges_.size();
-}
-
-usize MetricsRegistry::histogram_count() const {
-  MutexLock lock(mutex_);
-  return histograms_.size();
 }
 
 }  // namespace vizcache

@@ -178,10 +178,6 @@ class MetricsRegistry {
 
   MetricsSnapshot snapshot() const EXCLUDES(mutex_);
 
-  usize counter_count() const EXCLUDES(mutex_);
-  usize gauge_count() const EXCLUDES(mutex_);
-  usize histogram_count() const EXCLUDES(mutex_);
-
  private:
   mutable Mutex mutex_;
   std::map<std::string, std::unique_ptr<MetricCounter>> counters_

@@ -89,7 +89,10 @@ std::string StepTimeline::chrome_trace_json() const {
        "\"args\": {\"name\": \"vizcache simulated pipeline\"}}");
   std::map<u32, std::string> lanes;  // ordered: deterministic output
   for (const StepEvent& e : events_) {
-    std::string label = "w" + std::to_string(e.worker);
+    // Appended, not `"w" + std::to_string(...)`: GCC 12's -O3 -Wrestrict
+    // misreports that operator+.
+    std::string label = "w";
+    label += std::to_string(e.worker);
     label += lane_of(e) % 2 == 0 ? " fetch+render" : " lookup+prefetch";
     lanes.emplace(lane_of(e), std::move(label));
   }

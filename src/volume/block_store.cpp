@@ -1,32 +1,8 @@
 #include "volume/block_store.hpp"
 
 #include "util/error.hpp"
-#include "volume/blocker.hpp"
 
 namespace vizcache {
-
-MemoryBlockStore::MemoryBlockStore(const Field3D& field, Dims3 block_dims,
-                                   VolumeDesc desc)
-    : grid_(field.dims(), block_dims), desc_(std::move(desc)) {
-  if (desc_.dims.voxels() == 0) {
-    desc_.name = desc_.name.empty() ? "in-memory" : desc_.name;
-    desc_.dims = field.dims();
-    desc_.variables = 1;
-    desc_.timesteps = 1;
-  }
-  blocks_.reserve(grid_.block_count());
-  for (BlockId id = 0; id < grid_.block_count(); ++id) {
-    blocks_.push_back(extract_block(field, grid_, id));
-  }
-}
-
-std::vector<float> MemoryBlockStore::read_block(BlockId id, usize var,
-                                                usize timestep) const {
-  VIZ_REQUIRE(id < grid_.block_count(), "block id out of range");
-  VIZ_REQUIRE(var == 0 && timestep == 0,
-              "MemoryBlockStore holds a single variable/timestep");
-  return blocks_[id];
-}
 
 SyntheticBlockStore::SyntheticBlockStore(SyntheticVolume volume,
                                          Dims3 block_dims)

@@ -26,24 +26,6 @@ class BlockStore {
   u64 block_bytes(BlockId id) const { return grid().block_bytes(id); }
 };
 
-/// Block store over a dense in-memory field (one variable, one timestep).
-/// Blocks are pre-extracted at construction so reads are pure copies.
-class MemoryBlockStore final : public BlockStore {
- public:
-  MemoryBlockStore(const Field3D& field, Dims3 block_dims,
-                   VolumeDesc desc = {});
-
-  const BlockGrid& grid() const override { return grid_; }
-  const VolumeDesc& desc() const override { return desc_; }
-  std::vector<float> read_block(BlockId id, usize var,
-                                usize timestep) const override;
-
- private:
-  BlockGrid grid_;
-  VolumeDesc desc_;
-  std::vector<std::vector<float>> blocks_;
-};
-
 /// Block store that evaluates a SyntheticVolume's voxel function lazily —
 /// supports the paper's full-resolution datasets (e.g. 1024^3 3d_ball)
 /// without materializing them. Reads are deterministic.

@@ -54,9 +54,9 @@ MipPyramid MipPyramid::build(Field3D level0, Dims3 block_dims, usize levels) {
     Dims3 bd{std::min(block_dims.x, f.dims().x),
              std::min(block_dims.y, f.dims().y),
              std::min(block_dims.z, f.dims().z)};
-    p.stores_.push_back(std::make_unique<MemoryBlockStore>(f, bd));
+    p.grids_.emplace_back(f.dims(), bd);
     p.offsets_.push_back(offset);
-    offset += static_cast<BlockId>(p.stores_.back()->grid().block_count());
+    offset += static_cast<BlockId>(p.grids_.back().block_count());
   }
   p.offsets_.push_back(offset);  // sentinel: total key count
   return p;
@@ -68,13 +68,8 @@ const Field3D& MipPyramid::field(usize level) const {
 }
 
 const BlockGrid& MipPyramid::grid(usize level) const {
-  VIZ_REQUIRE(level < stores_.size(), "level out of range");
-  return stores_[level]->grid();
-}
-
-const BlockStore& MipPyramid::store(usize level) const {
-  VIZ_REQUIRE(level < stores_.size(), "level out of range");
-  return *stores_[level];
+  VIZ_REQUIRE(level < grids_.size(), "level out of range");
+  return grids_[level];
 }
 
 u64 MipPyramid::level_bytes(usize level) const {
@@ -87,11 +82,6 @@ u64 MipPyramid::total_bytes() const {
   return total;
 }
 
-BlockId MipPyramid::key_offset(usize level) const {
-  VIZ_REQUIRE(level < level_count(), "level out of range");
-  return offsets_[level];
-}
-
 BlockId MipPyramid::pack_key(usize level, BlockId id) const {
   VIZ_REQUIRE(id < grid(level).block_count(), "block id out of range");
   return offsets_[level] + id;
@@ -102,10 +92,6 @@ usize MipPyramid::level_of_key(BlockId key) const {
   usize level = 0;
   while (key >= offsets_[level + 1]) ++level;
   return level;
-}
-
-BlockId MipPyramid::id_of_key(BlockId key) const {
-  return key - offsets_[level_of_key(key)];
 }
 
 usize MipPyramid::total_keys() const { return offsets_.back(); }

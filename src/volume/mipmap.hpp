@@ -1,9 +1,8 @@
 #pragma once
 
-#include <memory>
 #include <vector>
 
-#include "volume/block_store.hpp"
+#include "volume/block_grid.hpp"
 #include "volume/field.hpp"
 
 namespace vizcache {
@@ -30,19 +29,17 @@ class MipPyramid {
 
   const Field3D& field(usize level) const;
   const BlockGrid& grid(usize level) const;
-  const BlockStore& store(usize level) const;
 
   /// Bytes of one level's full payload.
   u64 level_bytes(usize level) const;
   /// Bytes across all levels (the classic ~1.14x overhead for 2x pyramids).
   u64 total_bytes() const;
 
-  /// Dense cross-level key for hierarchy caching: keys of level l occupy
-  /// [offset(l), offset(l) + grid(l).block_count()).
-  BlockId key_offset(usize level) const;
+  /// Dense cross-level key for hierarchy caching: the keys of level l are a
+  /// contiguous range of grid(l).block_count() keys, after those of level
+  /// l - 1.
   BlockId pack_key(usize level, BlockId id) const;
   usize level_of_key(BlockId key) const;
-  BlockId id_of_key(BlockId key) const;
   /// Total key space across levels.
   usize total_keys() const;
   /// Payload bytes of a packed key.
@@ -50,7 +47,7 @@ class MipPyramid {
 
  private:
   std::vector<Field3D> fields_;
-  std::vector<std::unique_ptr<MemoryBlockStore>> stores_;
+  std::vector<BlockGrid> grids_;  ///< one per level, beside its field
   std::vector<BlockId> offsets_;
 };
 

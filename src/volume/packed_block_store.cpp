@@ -59,8 +59,10 @@ PackedFileBlockStore PackedFileBlockStore::write_store(
 
 PackedFileBlockStore::ParsedHeader PackedFileBlockStore::parse_header(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) throw IoError("cannot open packed store: " + path);
+  const auto file_bytes = static_cast<u64>(in.tellg());
+  in.seekg(0);
 
   char magic[4];
   in.read(magic, 4);
@@ -80,12 +82,28 @@ PackedFileBlockStore::ParsedHeader PackedFileBlockStore::parse_header(
   parsed.desc.variables = header[3];
   parsed.desc.timesteps = header[4];
   Dims3 block_dims{header[5], header[6], header[7]};
+  // The header's counts size the offset index, and read_block indexes it
+  // by (timestep, variable, block): a product that wraps would leave valid
+  // indices past its end, and an index longer than the rest of the file
+  // would be allocated before the short read fails.
+  u64 voxels = 0;
+  if (__builtin_mul_overflow(header[0], header[1], &voxels) ||
+      __builtin_mul_overflow(voxels, header[2], &voxels) || voxels == 0 ||
+      block_dims.x == 0 || block_dims.y == 0 || block_dims.z == 0) {
+    throw IoError("packed store header has invalid dims: " + path);
+  }
   parsed.grid = BlockGrid(parsed.desc.dims, block_dims);
 
-  const usize expected = parsed.grid.block_count() * parsed.desc.variables *
-                         parsed.desc.timesteps;
-  if (entry_count != expected) {
+  u64 expected = 0;
+  if (__builtin_mul_overflow(u64{parsed.grid.block_count()},
+                             parsed.desc.variables, &expected) ||
+      __builtin_mul_overflow(expected, parsed.desc.timesteps, &expected) ||
+      entry_count != expected) {
     throw IoError("packed store entry count mismatch: " + path);
+  }
+  const u64 index_bytes_left = file_bytes - static_cast<u64>(in.tellg());
+  if (entry_count >= index_bytes_left / sizeof(u64)) {
+    throw IoError("truncated packed store index: " + path);
   }
   parsed.offsets.resize(entry_count + 1);
   in.read(reinterpret_cast<char*>(parsed.offsets.data()),

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 
 #include "util/error.hpp"
 #include "volume/datasets.hpp"
@@ -100,8 +101,10 @@ TEST(Importance, MinMaxMeanConsistent) {
 }
 
 TEST(Importance, ConstantDatasetAllZero) {
-  Field3D constant({16, 16, 16}, 1.0f);
-  MemoryBlockStore store(constant, {8, 8, 8});
+  VolumeDesc desc;
+  desc.dims = {16, 16, 16};
+  SyntheticBlockStore store(
+      {desc, [](const Vec3&, usize, usize) { return 1.0f; }}, {8, 8, 8});
   ImportanceTable t = ImportanceTable::build(store, 64);
   for (BlockId id = 0; id < t.block_count(); ++id) {
     EXPECT_DOUBLE_EQ(t.entropy(id), 0.0);
@@ -133,6 +136,20 @@ TEST(Importance, SaveLoadRoundTrip) {
 
 TEST(Importance, LoadMissingFileThrows) {
   EXPECT_THROW(ImportanceTable::load("/nonexistent/imp.bin"), IoError);
+}
+
+TEST(Importance, LoadRejectsCountLargerThanFile) {
+  // 2^61 entries: above vector::max_size(), and 2^61 * sizeof(double)
+  // wraps to 0.
+  const std::string path =
+      (fs::temp_directory_path() / "vizcache_imp_huge.bin").string();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    const u64 n = u64{1} << 61;
+    out.write(reinterpret_cast<const char*>(&n), sizeof(n));
+  }
+  EXPECT_THROW(ImportanceTable::load(path), IoError);
+  fs::remove(path);
 }
 
 TEST(Importance, OutOfRangeThrows) {

@@ -49,8 +49,10 @@ TEST(GradientImportance, AgreesWithEntropyOnStructure) {
 }
 
 TEST(GradientImportance, ConstantFieldScoresZeroEverywhere) {
-  Field3D constant({16, 16, 16}, 3.0f);
-  MemoryBlockStore store(constant, {8, 8, 8});
+  VolumeDesc desc;
+  desc.dims = {16, 16, 16};
+  SyntheticBlockStore store(
+      {desc, [](const Vec3&, usize, usize) { return 3.0f; }}, {8, 8, 8});
   ImportanceTable t = ImportanceTable::build_gradient(store);
   for (BlockId id = 0; id < t.block_count(); ++id) {
     EXPECT_DOUBLE_EQ(t.entropy(id), 0.0);

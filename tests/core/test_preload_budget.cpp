@@ -3,8 +3,8 @@
 // fast-memory budget must not shadow a smaller, less-important block that
 // still fits. Prefetch is the opposite: the first candidate that overflows
 // the DRAM budget ends the pass (per worker in ParallelPipeline).
-// Regressions: VizPipeline and TemporalPipeline once stopped preloading at
-// the first over-budget block, and ParallelPipeline once kept prefetching
+// Regressions: VizPipeline, static and time-varying, once stopped preloading
+// at the first over-budget block, and ParallelPipeline once kept prefetching
 // past an overflow, so the simulators disagreed on identical inputs.
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 
 #include "core/parallel_pipeline.hpp"
 #include "core/pipeline.hpp"
-#include "core/temporal.hpp"
 
 namespace vizcache {
 namespace {
@@ -60,7 +59,7 @@ TEST(PreloadBudget, SequentialSkipsOversizeBlockAndKeepsFilling) {
       [g = &grid](BlockId id) { return g->block_bytes(id); });
   ASSERT_EQ(h.cache(0).capacity_bytes(), 320u);
 
-  VizPipeline pipe(grid, std::move(h), make_config(), &table, &importance);
+  VizPipeline pipe(grid, std::move(h), make_config(), &table, {&importance, 1});
   RunResult r = pipe.run(make_path());
   ASSERT_EQ(r.steps[0].visible_blocks, 4u);
   // Block 0 (384 B) overflows the 320 B budget and is skipped; block 3
@@ -85,7 +84,7 @@ TEST(PreloadBudget, ParallelAgreesWithSequential) {
   MemoryHierarchy h = MemoryHierarchy::paper_testbed(
       1280, 0.5, PolicyKind::kLru,
       [g = &grid](BlockId id) { return g->block_bytes(id); });
-  VizPipeline pipe(grid, std::move(h), make_config(), &table, &importance);
+  VizPipeline pipe(grid, std::move(h), make_config(), &table, {&importance, 1});
   RunResult sr = pipe.run(make_path());
 
   ASSERT_EQ(pr.steps[0].visible_blocks, sr.steps[0].visible_blocks);
@@ -94,22 +93,20 @@ TEST(PreloadBudget, ParallelAgreesWithSequential) {
 }
 
 TEST(PreloadBudget, TemporalSkipsOversizeBlockAndKeepsFilling) {
+  // A two-timestep playback preloads timestep 0's table into the same
+  // 320 B DRAM level (the hierarchy is sized for one timestep's bytes).
   BlockGrid grid = make_grid();
-  const std::vector<ImportanceTable> importance{make_importance()};
+  const std::vector<ImportanceTable> importance{make_importance(),
+                                                make_importance()};
   VisibilityTable table = make_table(grid);
-  TemporalConfig cfg;
-  cfg.app_aware = true;
-  cfg.sigma_bits = kSigma;
-  PlaybackSpec playback;
-  playback.timesteps = 1;
   MemoryHierarchy h = make_temporal_hierarchy(grid, 1, 0.5, PolicyKind::kLru);
   ASSERT_EQ(h.cache(0).capacity_bytes(), 320u);
 
-  TemporalPipeline pipe(grid, std::move(h), cfg, playback, &table,
-                        &importance);
+  VizPipeline pipe(grid, std::move(h), make_config(), &table, importance,
+                   nullptr, PlaybackSpec{2, 1, false});
   RunResult r = pipe.run(make_path());
   ASSERT_EQ(r.steps[0].visible_blocks, 4u);
-  // Same as the sequential pipeline: block 3 is preloaded past block 0.
+  // Same as the static run: block 3 is preloaded past block 0.
   EXPECT_EQ(r.steps[0].fast_misses, 3u);
 }
 
@@ -133,7 +130,7 @@ TEST(PrefetchBudget, OverflowEndsTheSequentialAndEachWorkersPass) {
                   MemoryHierarchy::paper_testbed(
                       1280, ratio, PolicyKind::kLru,
                       [g = &grid](BlockId id) { return g->block_bytes(id); }),
-                  cfg, &table, &importance);
+                  cfg, &table, {&importance, 1});
   ASSERT_EQ(seq.hierarchy().cache(0).capacity_bytes(), 639u);
   RunResult sr = seq.run(path);
   ASSERT_EQ(sr.steps[0].visible_blocks, 1u);

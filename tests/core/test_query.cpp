@@ -5,7 +5,9 @@
 #include <algorithm>
 
 #include "core/workbench.hpp"
+#include "geom/spherical.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "volume/generators.hpp"
 
 namespace vizcache {
@@ -85,21 +87,32 @@ TEST(RegionQuery, InvalidRangesThrow) {
 }
 
 TEST(QueryVisibleBlocks, IntersectionOfViewAndQuery) {
+  // Oracle: the exhaustive per-block scan, every block's AABB against the
+  // view cone AND the query's metadata test, ids ascending.
   QueryWorld w;
-  Camera cam({3, 0, 0}, 20.0);
-  RegionQuery q = RegionQuery::range(0, 0.8f, 1.0f);
-  auto view_only = w.bounds.visible_blocks(cam);
-  auto query_only = q.candidate_blocks(w.metadata);
-  auto both = query_visible_blocks(cam, w.bounds, w.metadata, q);
-  EXPECT_TRUE(std::includes(view_only.begin(), view_only.end(), both.begin(),
-                            both.end()));
-  EXPECT_TRUE(std::includes(query_only.begin(), query_only.end(), both.begin(),
-                            both.end()));
-  // And it is exactly the intersection.
-  std::vector<BlockId> expected;
-  std::set_intersection(view_only.begin(), view_only.end(), query_only.begin(),
-                        query_only.end(), std::back_inserter(expected));
-  EXPECT_EQ(both, expected);
+  const BlockGrid& grid = w.store.grid();
+  const RegionQuery queries[] = {RegionQuery::range(0, 0.8f, 1.0f),
+                                 RegionQuery::iso_surface(0, 0.5f, 0.05f),
+                                 RegionQuery()};
+  Rng rng(27);
+  for (int i = 0; i < 200; ++i) {
+    const Vec3 pos = direction_from_angles(rng.uniform(0.05, 3.09),
+                                           rng.uniform(0.0, 6.28)) *
+                     rng.uniform(1.5, 4.0);
+    const Camera cam(pos, rng.uniform(5.0, 60.0));
+    const ConeFrustum frustum(cam);
+    for (const RegionQuery& q : queries) {
+      std::vector<BlockId> expected;
+      for (BlockId id = 0; id < grid.block_count(); ++id) {
+        if (frustum.intersects_block(grid.block_bounds(id)) &&
+            q.may_match(w.metadata, id)) {
+          expected.push_back(id);
+        }
+      }
+      ASSERT_EQ(query_visible_blocks(cam, w.bounds, w.metadata, q), expected)
+          << "camera " << i << ", query " << q.to_string();
+    }
+  }
 }
 
 TEST(QuerySchedule, DefaultIsMatchAll) {

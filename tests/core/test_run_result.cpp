@@ -6,7 +6,6 @@
 #include "core/lod_pipeline.hpp"
 #include "core/parallel_pipeline.hpp"
 #include "core/pipeline.hpp"
-#include "core/temporal.hpp"
 #include "volume/generators.hpp"
 
 namespace vizcache {
@@ -45,12 +44,16 @@ TEST(RunResult, EveryDriverFinishesWithItsSnapshot) {
     expect_snapshot_of_run(pipeline.run(path));
   }
   {
-    SCOPED_TRACE("TemporalPipeline");
+    SCOPED_TRACE("VizPipeline playback");
     const usize timesteps = 2;
-    TemporalPipeline pipeline(
-        grid, make_temporal_hierarchy(grid, timesteps, 0.5, cfg.policy),
-        TemporalConfig{}, PlaybackSpec{timesteps, 4, false});
-    expect_snapshot_of_run(pipeline.run(path));
+    VizPipeline pipeline(
+        grid, make_temporal_hierarchy(grid, timesteps, 0.5, cfg.policy), cfg,
+        nullptr, {}, nullptr, PlaybackSpec{timesteps, 4, false});
+    const RunResult r = pipeline.run(path);
+    expect_snapshot_of_run(r);
+    // A time-varying run records its span timeline too: at least a fetch
+    // and a render span per step.
+    EXPECT_GE(r.timeline.size(), 2 * r.steps.size());
   }
   {
     SCOPED_TRACE("ParallelPipeline");

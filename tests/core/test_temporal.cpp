@@ -1,4 +1,7 @@
-#include "core/temporal.hpp"
+// Time-varying playback through VizPipeline: a PlaybackSpec with more than
+// one timestep keys each step at its timestep's (block, timestep) range.
+
+#include "core/pipeline.hpp"
 
 #include <gtest/gtest.h>
 
@@ -46,12 +49,12 @@ class TemporalTest : public ::testing::Test {
     volume_.reset();
   }
 
-  static TemporalPipeline make_pipeline(TemporalConfig cfg,
-                                        PlaybackSpec playback) {
-    return TemporalPipeline(
-        *grid_, make_temporal_hierarchy(*grid_, playback.timesteps, 0.5,
-                                        cfg.policy),
-        cfg, playback, table_.get(), importance_.get());
+  static VizPipeline make_pipeline(PipelineConfig cfg,
+                                   PlaybackSpec playback) {
+    return VizPipeline(*grid_,
+                       make_temporal_hierarchy(*grid_, playback.timesteps, 0.5,
+                                               cfg.policy),
+                       cfg, table_.get(), *importance_, nullptr, playback);
   }
 
   static CameraPath path(usize n = 30) {
@@ -81,7 +84,7 @@ TEST(TimeBlockKey, PackUnpackRoundTrip) {
     for (usize t : {0u, 1u, 7u}) {
       BlockId key = TimeBlockKey::pack(id, t, nblocks);
       EXPECT_EQ(TimeBlockKey::spatial(key, nblocks), id);
-      EXPECT_EQ(TimeBlockKey::timestep(key, nblocks), t);
+      EXPECT_EQ(key - id, t * nblocks);
     }
   }
 }
@@ -91,28 +94,28 @@ TEST(TimeBlockKey, DistinctAcrossTimesteps) {
 }
 
 TEST_F(TemporalTest, TimestepScheduleClampAndLoop) {
-  TemporalConfig cfg;
-  PlaybackSpec pb{3, 4, false};
-  TemporalPipeline p = make_pipeline(cfg, pb);
-  EXPECT_EQ(p.timestep_at(0), 0u);
-  EXPECT_EQ(p.timestep_at(3), 0u);
-  EXPECT_EQ(p.timestep_at(4), 1u);
-  EXPECT_EQ(p.timestep_at(11), 2u);
-  EXPECT_EQ(p.timestep_at(100), 2u);  // clamped
+  const PlaybackSpec pb{3, 4, false};
+  EXPECT_EQ(pb.timestep_at(0), 0u);
+  EXPECT_EQ(pb.timestep_at(3), 0u);
+  EXPECT_EQ(pb.timestep_at(4), 1u);
+  EXPECT_EQ(pb.timestep_at(11), 2u);
+  EXPECT_EQ(pb.timestep_at(100), 2u);  // clamped
 
-  PlaybackSpec looped{3, 4, true};
-  TemporalPipeline lp = make_pipeline(cfg, looped);
-  EXPECT_EQ(lp.timestep_at(12), 0u);  // wrapped
-  EXPECT_EQ(lp.timestep_at(16), 1u);
+  const PlaybackSpec looped{3, 4, true};
+  EXPECT_EQ(looped.timestep_at(12), 0u);  // wrapped
+  EXPECT_EQ(looped.timestep_at(16), 1u);
+
+  // The default playback is a static dataset: every step is timestep 0.
+  EXPECT_EQ(PlaybackSpec{}.timestep_at(1000), 0u);
 }
 
 TEST_F(TemporalTest, TimeAdvanceCausesRefetch) {
   // With a static camera, a baseline must re-miss every block when the
   // timestep flips (same spatial block, new data).
-  TemporalConfig cfg;
+  PipelineConfig cfg;
   cfg.app_aware = false;
   PlaybackSpec pb{kTimesteps, 10, false};
-  TemporalPipeline p = make_pipeline(cfg, pb);
+  VizPipeline p = make_pipeline(cfg, pb);
 
   CameraPath still(30, Camera({3, 0, 0}, 10.0));
   RunResult r = p.run(still);
@@ -125,16 +128,16 @@ TEST_F(TemporalTest, TimeAdvanceCausesRefetch) {
 
 TEST_F(TemporalTest, TemporalPrefetchHidesTimestepFlips) {
   CameraPath p = path(30);
-  PlaybackSpec pb{kTimesteps, 10, false};
+  PipelineConfig cfg;
+  cfg.app_aware = true;
 
-  TemporalConfig without;
-  without.app_aware = true;
+  PlaybackSpec without{kTimesteps, 10, false};
   without.temporal_prefetch = false;
-  RunResult r_without = make_pipeline(without, pb).run(p);
+  RunResult r_without = make_pipeline(cfg, without).run(p);
 
-  TemporalConfig with = without;
+  PlaybackSpec with = without;
   with.temporal_prefetch = true;
-  RunResult r_with = make_pipeline(with, pb).run(p);
+  RunResult r_with = make_pipeline(cfg, with).run(p);
 
   // Prefetching next-timestep blocks during rendering must cut the misses
   // at the flip steps (indices 10 and 20).
@@ -150,12 +153,12 @@ TEST_F(TemporalTest, AppAwareBeatsBaselineOnPlayback) {
   CameraPath p = path(30);
   PlaybackSpec pb{kTimesteps, 10, false};
 
-  TemporalConfig base;
+  PipelineConfig base;
   base.app_aware = false;
   base.policy = PolicyKind::kLru;
   RunResult lru = make_pipeline(base, pb).run(p);
 
-  TemporalConfig aware;
+  PipelineConfig aware;
   aware.app_aware = true;
   RunResult opt = make_pipeline(aware, pb).run(p);
 
@@ -169,7 +172,7 @@ TEST_F(TemporalTest, AppAwareBeatsBaselineOnPlayback) {
 TEST_F(TemporalTest, DeterministicRuns) {
   CameraPath p = path(20);
   PlaybackSpec pb{kTimesteps, 5, false};
-  TemporalConfig cfg;
+  PipelineConfig cfg;
   cfg.app_aware = true;
   RunResult a = make_pipeline(cfg, pb).run(p);
   RunResult b = make_pipeline(cfg, pb).run(p);
@@ -184,7 +187,7 @@ TEST_F(TemporalTest, NewTimestepMissesEveryVisibleBlock) {
   // on every visible block. The same path held at one timestep reuses the
   // previous view's blocks.
   const CameraPath p = path(30);
-  TemporalConfig cfg;
+  PipelineConfig cfg;
   const RunResult playing =
       make_pipeline(cfg, PlaybackSpec{kTimesteps, 10, false}).run(p);
   const RunResult held =
@@ -197,30 +200,58 @@ TEST_F(TemporalTest, NewTimestepMissesEveryVisibleBlock) {
 }
 
 TEST_F(TemporalTest, InvalidConfigsThrow) {
-  TemporalConfig cfg;
+  PipelineConfig cfg;
   cfg.app_aware = true;
   PlaybackSpec pb{kTimesteps, 10, false};
+  auto hierarchy = [&] {
+    return make_temporal_hierarchy(*grid_, kTimesteps, 0.5, cfg.policy);
+  };
   // Missing importance tables.
-  EXPECT_THROW(TemporalPipeline(*grid_,
-                                make_temporal_hierarchy(*grid_, kTimesteps,
-                                                        0.5, cfg.policy),
-                                cfg, pb, table_.get(), nullptr),
+  EXPECT_THROW(VizPipeline(*grid_, hierarchy(), cfg, table_.get(), {},
+                           nullptr, pb),
                InvalidArgument);
   // Wrong importance table count.
   std::vector<ImportanceTable> wrong;
   wrong.push_back((*importance_)[0]);
-  EXPECT_THROW(TemporalPipeline(*grid_,
-                                make_temporal_hierarchy(*grid_, kTimesteps,
-                                                        0.5, cfg.policy),
-                                cfg, pb, table_.get(), &wrong),
+  EXPECT_THROW(VizPipeline(*grid_, hierarchy(), cfg, table_.get(), wrong,
+                           nullptr, pb),
                InvalidArgument);
   // Zero timesteps.
-  TemporalConfig plain;
-  EXPECT_THROW(TemporalPipeline(*grid_,
-                                make_temporal_hierarchy(*grid_, 1, 0.5,
-                                                        plain.policy),
-                                plain, PlaybackSpec{0, 1, false}),
+  PipelineConfig plain;
+  EXPECT_THROW(VizPipeline(*grid_,
+                           make_temporal_hierarchy(*grid_, 1, 0.5,
+                                                   plain.policy),
+                           plain, nullptr, {}, nullptr,
+                           PlaybackSpec{0, 1, false}),
                InvalidArgument);
+  // Zero steps per timestep.
+  EXPECT_THROW(VizPipeline(*grid_, hierarchy(), plain, nullptr, {}, nullptr,
+                           PlaybackSpec{kTimesteps, 0, false}),
+               InvalidArgument);
+  // A (block, timestep) key space that overflows BlockId.
+  const usize too_many = static_cast<usize>(kInvalidBlock) /
+                             grid_->block_count() + 1;
+  EXPECT_THROW(VizPipeline(*grid_, hierarchy(), plain, nullptr, {}, nullptr,
+                           PlaybackSpec{too_many, 1, false}),
+               InvalidArgument);
+}
+
+TEST_F(TemporalTest, QueryScheduleOnPlaybackThrows) {
+  // The metadata table describes one static field, so a query-driven run
+  // must not span timesteps.
+  const BlockMetadataTable metadata = BlockMetadataTable::build(*store_, 1);
+  const QuerySchedule schedule({{0, RegionQuery::range(0, 0.0f, 1.0f)}});
+  PipelineConfig cfg;
+  VizPipeline playing(*grid_,
+                      make_temporal_hierarchy(*grid_, kTimesteps, 0.5,
+                                              cfg.policy),
+                      cfg, nullptr, {}, &metadata,
+                      PlaybackSpec{kTimesteps, 10, false});
+  EXPECT_THROW(playing.run(path(5), &schedule), InvalidArgument);
+
+  VizPipeline still(*grid_, make_temporal_hierarchy(*grid_, 1, 0.5, cfg.policy),
+                    cfg, nullptr, {}, &metadata);
+  EXPECT_EQ(still.run(path(5), &schedule).steps.size(), 5u);
 }
 
 }  // namespace

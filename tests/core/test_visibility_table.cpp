@@ -243,6 +243,33 @@ TEST(VisibilityTable, LoadRejectsOverflowingLattice) {
   fs::remove(path);
 }
 
+TEST(VisibilityTable, LoadRejectsCountsLargerThanFile) {
+  // Counts that size vectors before their bytes are read. Each is above
+  // the vector's max_size(), so none of them allocates.
+  const auto patch = [](const std::string& path, u64 offset, u64 value) {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(offset));
+    f.write(reinterpret_cast<const char*>(&value), sizeof(value));
+    ASSERT_TRUE(f.good());
+  };
+  // The entry count follows the lattice and the four scalars.
+  constexpr u64 kCountOffset = 3 * sizeof(u64) + 4 * sizeof(double);
+  // A valid 2^31 x 2^31 x 1 lattice promising 2^62 entries.
+  const u64 half = u64{1} << 31;
+  const std::string lattice =
+      write_table_file("vizcache_vt_huge_lattice.bin", half, half, 1, 2.5,
+                       3.5, 0);
+  patch(lattice, kCountOffset, u64{1} << 62);
+  EXPECT_THROW(VisibilityTable::load(lattice), IoError);
+  fs::remove(lattice);
+  // One entry whose block list promises 2^62 ids.
+  const std::string entry =
+      write_table_file("vizcache_vt_huge_entry.bin", 1, 1, 1, 2.5, 3.5, 1);
+  patch(entry, kCountOffset + sizeof(u64) + sizeof(Vec3), u64{1} << 62);
+  EXPECT_THROW(VisibilityTable::load(entry), IoError);
+  fs::remove(entry);
+}
+
 TEST(VisibilityTable, ZeroVicinalSamplesThrows) {
   BlockGrid grid = test_grid();
   VisibilityTableSpec spec = small_spec();

@@ -64,11 +64,14 @@ TEST(MetricsRegistry, FindOrCreateReturnsStableInstruments) {
   MetricCounter& b = reg.counter("cache.dram.hits");
   EXPECT_EQ(&a, &b);
   EXPECT_EQ(b.value(), 3u);
-  EXPECT_EQ(reg.counter_count(), 1u);
   reg.gauge("pipeline.total_seconds").set(1.0);
   reg.histogram("hierarchy.demand.latency_seconds").observe(0.001);
-  EXPECT_EQ(reg.gauge_count(), 1u);
-  EXPECT_EQ(reg.histogram_count(), 1u);
+  EXPECT_EQ(&reg.gauge("pipeline.total_seconds"),
+            &reg.gauge("pipeline.total_seconds"));
+  const MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counters.size(), 1u);
+  EXPECT_EQ(snap.gauges.size(), 1u);
+  EXPECT_EQ(snap.histograms.size(), 1u);
 }
 
 TEST(MetricsRegistry, RejectsMalformedNames) {

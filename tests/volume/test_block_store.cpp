@@ -2,51 +2,64 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "util/error.hpp"
-#include "volume/blocker.hpp"
 
 namespace vizcache {
 namespace {
 
-TEST(MemoryBlockStore, MatchesExtraction) {
-  SyntheticVolume ball = make_ball_volume({24, 24, 24});
-  Field3D f = rasterize(ball);
-  MemoryBlockStore store(f, {8, 8, 8});
-  for (BlockId id = 0; id < store.grid().block_count(); ++id) {
-    auto expected = extract_block(f, store.grid(), id);
-    auto got = store.read_block(id, 0, 0);
-    ASSERT_EQ(got.size(), expected.size());
-    for (usize i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], expected[i]);
-  }
-}
-
-TEST(MemoryBlockStore, RejectsMultiVariable) {
-  Field3D f({8, 8, 8});
-  MemoryBlockStore store(f, {4, 4, 4});
-  EXPECT_THROW(store.read_block(0, 1, 0), InvalidArgument);
-  EXPECT_THROW(store.read_block(0, 0, 1), InvalidArgument);
-}
-
-TEST(MemoryBlockStore, FillsDefaultDesc) {
-  Field3D f({8, 8, 8});
-  MemoryBlockStore store(f, {4, 4, 4});
-  EXPECT_EQ(store.desc().dims, Dims3(8, 8, 8));
-  EXPECT_EQ(store.desc().variables, 1u);
-}
-
 TEST(SyntheticBlockStore, AgreesWithRasterizedField) {
+  // A block's payload is its region of the dense field, x-fastest within
+  // the block, edge blocks clipped.
   SyntheticVolume ball = make_ball_volume({20, 20, 20});
-  Field3D f = rasterize(ball);
+  const Field3D f = rasterize(ball);
   SyntheticBlockStore lazy(ball, {8, 8, 8});
-  MemoryBlockStore eager(f, {8, 8, 8});
-  for (BlockId id = 0; id < lazy.grid().block_count(); ++id) {
-    auto a = lazy.read_block(id, 0, 0);
-    auto b = eager.read_block(id, 0, 0);
-    ASSERT_EQ(a.size(), b.size());
-    for (usize i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i], b[i]) << "block " << id << " voxel " << i;
+  const BlockGrid& grid = lazy.grid();
+  for (BlockId id = 0; id < grid.block_count(); ++id) {
+    const std::vector<float> payload = lazy.read_block(id, 0, 0);
+    ASSERT_EQ(payload.size(), grid.block_voxels(id));
+    const Dims3 o = grid.block_voxel_origin(id);
+    const Dims3 e = grid.block_voxel_extent(id);
+    usize i = 0;
+    for (usize z = 0; z < e.z; ++z) {
+      for (usize y = 0; y < e.y; ++y) {
+        for (usize x = 0; x < e.x; ++x, ++i) {
+          EXPECT_EQ(payload[i], f.at(o.x + x, o.y + y, o.z + z))
+              << "block " << id << " voxel " << i;
+        }
+      }
     }
   }
+}
+
+TEST(SyntheticBlockStore, ReadSizeMatchesBlock) {
+  SyntheticBlockStore store(make_ball_volume({10, 10, 10}), {4, 4, 4});
+  const BlockGrid& grid = store.grid();
+  for (BlockId id = 0; id < grid.block_count(); ++id) {
+    EXPECT_EQ(store.read_block(id, 0, 0).size(), grid.block_voxels(id));
+  }
+}
+
+TEST(SyntheticBlockStore, ReadsCorrectRegion) {
+  // Tag voxel (5, 6, 7) of an 8^3 volume, which lives in block (1, 1, 1).
+  // Voxel i of 8 sits at -1 + 2i/7 in the normalized frame.
+  auto index = [](double p) { return std::lround((p + 1.0) * 3.5); };
+  VolumeDesc desc;
+  desc.dims = {8, 8, 8};
+  SyntheticBlockStore store({desc,
+                             [index](const Vec3& p, usize, usize) {
+                               const bool tagged = index(p.x) == 5 &&
+                                                   index(p.y) == 6 &&
+                                                   index(p.z) == 7;
+                               return tagged ? 42.0f : 0.0f;
+                             }},
+                            {4, 4, 4});
+  auto payload = store.read_block(store.grid().id_of({1, 1, 1}), 0, 0);
+  // Local coords (1, 2, 3) in a 4x4x4 block, x-fastest.
+  EXPECT_FLOAT_EQ(payload[(3 * 4 + 2) * 4 + 1], 42.0f);
+  EXPECT_EQ(std::count(payload.begin(), payload.end(), 42.0f), 1);
 }
 
 TEST(SyntheticBlockStore, MultiVariableReads) {

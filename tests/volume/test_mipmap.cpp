@@ -75,7 +75,7 @@ TEST(MipPyramid, KeyPackingRoundTrips) {
     for (BlockId id = 0; id < p.grid(level).block_count(); ++id) {
       BlockId key = p.pack_key(level, id);
       EXPECT_EQ(p.level_of_key(key), level);
-      EXPECT_EQ(p.id_of_key(key), id);
+      EXPECT_EQ(key - p.pack_key(level, 0), id);
     }
   }
   usize expected_keys = 0;
@@ -91,6 +91,26 @@ TEST(MipPyramid, KeyBytesMatchLevelBlocks) {
   // Level 1 of a 16^3 field with 8^3 blocks: full blocks of 8^3 voxels.
   BlockId key = p.pack_key(1, 0);
   EXPECT_EQ(p.key_bytes(key), 8u * 8 * 8 * 4);
+}
+
+TEST(MipPyramid, LevelGridsBlockTheirFields) {
+  // Each level's grid blocks exactly that level's field: the same dims, and
+  // blocks (clipped on the 6^3 and 3^3 levels) that tile every voxel once.
+  Field3D f = rasterize(make_ball_volume({24, 24, 24}));
+  MipPyramid p = MipPyramid::build(std::move(f), {8, 8, 8}, 4);
+  ASSERT_EQ(p.level_count(), 4u);
+  for (usize level = 0; level < p.level_count(); ++level) {
+    const BlockGrid& grid = p.grid(level);
+    EXPECT_EQ(grid.volume_dims(), p.field(level).dims());
+    usize voxels = 0;
+    u64 bytes = 0;
+    for (BlockId id = 0; id < grid.block_count(); ++id) {
+      voxels += grid.block_voxels(id);
+      bytes += p.key_bytes(p.pack_key(level, id));
+    }
+    EXPECT_EQ(voxels, p.field(level).voxels());
+    EXPECT_EQ(bytes, p.level_bytes(level));
+  }
 }
 
 TEST(MipPyramid, CoarseLevelApproximatesFine) {

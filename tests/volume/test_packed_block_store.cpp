@@ -140,6 +140,35 @@ TEST_F(PackedStoreTest, RejectsCorruptIndex) {
   EXPECT_NO_THROW(PackedFileBlockStore{path_});
 }
 
+// The header's counts size the offset index. A product that wraps must not
+// pass as a small index, and an index longer than the file must fail before
+// it is allocated.
+TEST_F(PackedStoreTest, RejectsHeaderCountsTheFileCannotHold) {
+  // magic | dims[3] | variables | timesteps | block_dims[3] | entry_count,
+  // then one zero offset.
+  const auto write_header = [&](const u64 (&fields)[9]) {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write("VZPK", 4);
+    out.write(reinterpret_cast<const char*>(fields), sizeof(fields));
+    const u64 offset = 0;
+    out.write(reinterpret_cast<const char*>(&offset), sizeof(offset));
+  };
+  const u64 big = u64{1} << 63;
+  // One 4^3 block x 2^63 variables x 2 timesteps wraps to 0 entries.
+  write_header({4, 4, 4, big, 2, 4, 4, 4, 0});
+  EXPECT_THROW(PackedFileBlockStore{path_}, IoError);
+  // 2^61 one-voxel blocks: an index past vector::max_size().
+  write_header({u64{1} << 21, u64{1} << 20, u64{1} << 20, 1, 1, 1, 1, 1,
+                u64{1} << 61});
+  EXPECT_THROW(PackedFileBlockStore{path_}, IoError);
+  // Dims whose voxel count wraps.
+  write_header({u64{1} << 32, u64{1} << 32, 1, 1, 1, 1, 1, 1, 0});
+  EXPECT_THROW(PackedFileBlockStore{path_}, IoError);
+  // An index the header promises but the file does not hold.
+  write_header({8, 8, 8, 1, 1, 4, 4, 4, 8});
+  EXPECT_THROW(PackedFileBlockStore{path_}, IoError);
+}
+
 TEST_F(PackedStoreTest, MissingFileThrows) {
   EXPECT_THROW(PackedFileBlockStore("/nonexistent/store.vzpk"), IoError);
 }
